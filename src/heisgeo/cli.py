@@ -75,7 +75,8 @@ def _parse_vector(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="heisgeo",
         description="Geodesics, distances and figure meshes of the Heisenberg group "
@@ -145,29 +146,25 @@ def _build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--out", default="-", help="output path, - for stdout")
     curv.add_argument("--config", help="JSON file with defaults for these options")
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill option values from the JSON config unless given on the line."""
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Option values from the JSON config file, keyed by option dest."""
     if not getattr(args, "config", None):
-        return
+        return {}
     with open(args.config) as handle:
         values = json.load(handle)
     if not isinstance(values, dict):
         raise ValueError("config file must contain a JSON object")
+    options = set(vars(args)) - {"command"}
+    defaults = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in options:
             raise ValueError(f"config key {key!r} does not match any option")
-        flag = "--" + dest.replace("_", "-")
-        if flag in argv:
-            continue
-        if dest in ("base",) or dest == "p" or dest == "q":
-            value = _parse_point(value)
-        elif dest == "cut_normal":
-            value = _parse_vector(value)
-        setattr(args, dest, value)
+        defaults[dest] = value
+    return defaults
 
 
 def _write_lines(lines: list[str], out: str) -> None:
@@ -397,16 +394,23 @@ _REQUIRED = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        defaults = _config_defaults(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"heisgeo: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if defaults:
+        # The config becomes the command's defaults and the line is parsed
+        # again, so argparse decides what the line gave in any spelling
+        # (--radius 2, --radius=2, --rad 2); string values pass through the
+        # option's type, as on the line.
+        commands[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
     for dest in _REQUIRED.get(args.command, ()):
         if getattr(args, dest) is None:
             flag = "--" + dest.replace("_", "-")

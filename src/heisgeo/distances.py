@@ -19,12 +19,15 @@ origin the planar distance and height depend only on (gamma, s),
     height(gamma, s) = z(gamma, s),
 
 and the initial planar direction phi is recovered afterwards from the
-chord direction of the target.  Newton's method with a numerically
-differenced Jacobian runs from a deterministic lattice of starting values;
-solving in the angle theta with gamma = sin(theta) avoids the square-root
-singularity of r at |gamma| = 1.  Multiple starts matter because targets
-beyond the conjugate locus are reached by several geodesics; the distance
-is the smallest arc length among the converged candidates.
+chord direction of the target.  Newton's method with an analytic Jacobian,
+evaluated in one pass with the residual, runs from a deterministic lattice
+of starting values; solving in the angle theta with gamma = sin(theta)
+avoids the square-root singularity of r at |gamma| = 1.  Seeds still short
+of the Newton tolerance at the iteration cap but within 1e-6 of a root get
+a few more steps before their residual is taken.  Multiple starts matter
+because targets beyond the conjugate locus are reached by several
+geodesics; the converged seeds are reduced to one representative per
+geodesic, and the distance is the smallest arc length among them.
 
 brute_force_distance is an independent validation oracle: a dense lattice
 over (gamma, phi, s) followed by a derivative-free shrinking-lattice
@@ -114,10 +117,44 @@ def _shoot_residuals(theta, s, rho_t, z_t, sign):
     return q - sign * rho_t, _height(gamma, s) - z_t
 
 
+def _shoot_jacobian(theta, s, rho_t, z_t, sign):
+    """Residual and its analytic Jacobian in the (theta, s) chart, fused.
+
+    Returns (f1, f2, j11, j12, j21, j22) with j11 = df1/dtheta, j12 =
+    df1/ds, j21 = df2/dtheta, j22 = df2/ds.  With gamma = sin(theta),
+    c = cos(theta), w = gamma*s and m = _sin_defect:
+
+        df1/ds     = c cos(w)
+        df1/dtheta = -s gamma sinc(w) + c^2 s^2 sinc'(w)
+        df2/ds     = gamma + c^2 s sinc(w) sin(w)
+        df2/dtheta = c (s cos(w)^2 + s^3 (sinc(w)^2 - 4 m(2w)))
+
+    where sinc'(w) = -w (sinc(w/2)^2 / 2 - m(w)) stays accurate as w -> 0.
+    """
+    gamma = np.sin(theta)
+    c = np.cos(theta)
+    w = gamma * s
+    sin_w = np.sin(w)
+    cos_w = np.cos(w)
+    sinc_w = _sinc(w)
+    defect_2w = _sin_defect(2.0 * w)
+    s2 = s * s
+    f1 = c * s * sinc_w - sign * rho_t
+    f2 = 0.5 * w + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s * s2 * defect_2w - z_t
+    d_sinc = -w * (0.5 * _sinc(0.5 * w) ** 2 - _sin_defect(w))
+    j11 = -s * gamma * sinc_w + c * c * s2 * d_sinc
+    j12 = c * cos_w
+    j21 = c * (s * cos_w * cos_w + s * s2 * (sinc_w * sinc_w - 4.0 * defect_2w))
+    j22 = gamma + c * c * s * sinc_w * sin_w
+    return f1, f2, j11, j12, j21, j22
+
+
 _SEED_GAMMAS = 32
 _SEED_LENGTHS = 128
 _NEWTON_ITERATIONS = 50
 _NEWTON_TOL = 1e-10
+_POLISH_RESIDUAL = 1e-6
+_POLISH_STEPS = 8
 _DEDUP_TOL = 1e-6
 _AXIS_TOL = 1e-12
 
@@ -137,8 +174,25 @@ def _seed_lattice() -> tuple[np.ndarray, np.ndarray]:
     return theta, s
 
 
-def _newton_shoot(rho_t: float, z_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run damped Newton from every seed; return converged (theta, s, res)."""
+def _newton_step(theta, s, f1, f2, j11, j12, j21, j22):
+    """Damped Newton update; returns (theta, s, singular)."""
+    det = j11 * j22 - j12 * j21
+    singular = np.abs(det) < 1e-14
+    det = np.where(singular, 1.0, det)
+    d_theta = np.clip(-(j22 * f1 - j12 * f2) / det, -0.5, 0.5)
+    d_s = np.clip(-(-j21 * f1 + j11 * f2) / det, -2.0, 2.0)
+    return theta + d_theta, np.maximum(s + d_s, 1e-9), singular
+
+
+def _newton_shoot(rho_t: float, z_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run damped Newton from every seed; return their final (theta, s).
+
+    Each iteration evaluates the residual and its analytic Jacobian in one
+    pass, retires seeds whose residual falls below _NEWTON_TOL and drops
+    seeds that leave the chart or hit a singular Jacobian.  Survivors of
+    the iteration cap are returned too; the caller filters all seeds by
+    its own tolerance.
+    """
     theta0, s0 = _seed_lattice()
     if rho_t < _AXIS_TOL:
         signs = np.ones_like(theta0)
@@ -150,57 +204,76 @@ def _newton_shoot(rho_t: float, z_t: float) -> tuple[np.ndarray, np.ndarray, np.
         signs = np.concatenate([np.ones(theta0.size // 2), -np.ones(theta0.size // 2)])
 
     theta, s, sign = theta0.copy(), s0.copy(), signs
-    done_theta, done_s, done_res = [], [], []
+    done_theta, done_s = [], []
 
     for _ in range(_NEWTON_ITERATIONS):
-        f1, f2 = _shoot_residuals(theta, s, rho_t, z_t, sign)
+        f1, f2, j11, j12, j21, j22 = _shoot_jacobian(theta, s, rho_t, z_t, sign)
         res = np.hypot(f1, f2)
         conv = res < _NEWTON_TOL
         if conv.any():
             done_theta.append(theta[conv])
             done_s.append(s[conv])
-            done_res.append(res[conv])
-        keep = ~conv
-        theta, s, sign, f1, f2, res = (
-            a[keep] for a in (theta, s, sign, f1, f2, res)
-        )
+            keep = ~conv
+            theta, s, sign, f1, f2, j11, j12, j21, j22, res = (
+                a[keep] for a in (theta, s, sign, f1, f2, j11, j12, j21, j22, res)
+            )
         if theta.size == 0:
             break
 
-        h_t = 1e-7
-        h_s = 1e-7 * np.maximum(1.0, np.abs(s))
-        p1, p2 = _shoot_residuals(theta + h_t, s, rho_t, z_t, sign)
-        m1, m2 = _shoot_residuals(theta - h_t, s, rho_t, z_t, sign)
-        j11 = (p1 - m1) / (2.0 * h_t)
-        j21 = (p2 - m2) / (2.0 * h_t)
-        p1, p2 = _shoot_residuals(theta, s + h_s, rho_t, z_t, sign)
-        m1, m2 = _shoot_residuals(theta, s - h_s, rho_t, z_t, sign)
-        j12 = (p1 - m1) / (2.0 * h_s)
-        j22 = (p2 - m2) / (2.0 * h_s)
-
-        det = j11 * j22 - j12 * j21
-        singular = np.abs(det) < 1e-14
-        det = np.where(singular, 1.0, det)
-        d_theta = np.clip(-(j22 * f1 - j12 * f2) / det, -0.5, 0.5)
-        d_s = np.clip(-(-j21 * f1 + j11 * f2) / det, -2.0, 2.0)
-        theta = theta + d_theta
-        s = np.maximum(s + d_s, 1e-9)
-
+        theta, s, singular = _newton_step(theta, s, f1, f2, j11, j12, j21, j22)
         alive = ~singular & (np.abs(theta) <= 3.2) & (s <= 150.0) & np.isfinite(res)
         theta, s, sign = theta[alive], s[alive], sign[alive]
 
     if theta.size:
         # Survivors of the iteration cap may still be acceptable at the
         # caller's (looser) tolerance, e.g. near conjugate points where the
-        # Jacobian degenerates and convergence slows.
+        # Jacobian degenerates and convergence slows.  Those already close
+        # to a root get a few more steps first: a seed that reaches a root
+        # only in the last iterations would otherwise be reported as a
+        # separate, less accurate copy of it.
         f1, f2 = _shoot_residuals(theta, s, rho_t, z_t, sign)
+        near = np.flatnonzero(np.hypot(f1, f2) < _POLISH_RESIDUAL)
+        if near.size:
+            t, arc, sg = theta[near], s[near], sign[near]
+            for _ in range(_POLISH_STEPS):
+                f1, f2, j11, j12, j21, j22 = _shoot_jacobian(t, arc, rho_t, z_t, sg)
+                moving = np.hypot(f1, f2) >= _NEWTON_TOL
+                if not moving.any():
+                    break
+                new_t, new_arc, singular = _newton_step(t, arc, f1, f2, j11, j12, j21, j22)
+                step = moving & ~singular
+                t = np.where(step, new_t, t)
+                arc = np.where(step, new_arc, arc)
+            theta[near], s[near] = t, arc
         done_theta.append(theta)
         done_s.append(s)
-        done_res.append(np.hypot(f1, f2))
 
     if not done_theta:
-        return np.empty(0), np.empty(0), np.empty(0)
-    return np.concatenate(done_theta), np.concatenate(done_s), np.concatenate(done_res)
+        return np.empty(0), np.empty(0)
+    return np.concatenate(done_theta), np.concatenate(done_s)
+
+
+def _dedup(gamma, phi, s, residual) -> np.ndarray:
+    """Indices of the best-converged representative of each duplicate cluster.
+
+    Candidates are visited in order of ascending residual (ties keep input
+    order); each is kept unless it lies within L1 distance _DEDUP_TOL of an
+    already kept one, phi compared circularly.  Equivalently: keep the
+    first remaining candidate, drop everything near it, repeat.  Returned
+    in visiting order.
+    """
+    order = np.argsort(residual, kind="stable")
+    gamma, phi, s = gamma[order], phi[order], s[order]
+    remaining = np.arange(order.size)
+    kept = []
+    while remaining.size:
+        first, rest = remaining[0], remaining[1:]
+        kept.append(first)
+        d_phi = np.abs(phi[rest] - phi[first])
+        d_phi = np.minimum(d_phi, TWO_PI - d_phi)
+        gap = np.abs(gamma[rest] - gamma[first]) + d_phi + np.abs(s[rest] - s[first])
+        remaining = rest[~(gap < _DEDUP_TOL)]
+    return order[np.array(kept, dtype=np.intp)]
 
 
 def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
@@ -220,61 +293,50 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     chord_angle = math.atan2(target.y, target.x)
     axis = rho_t < _AXIS_TOL
 
-    theta, s, _ = _newton_shoot(rho_t, target.z)
+    theta, arc = _newton_shoot(rho_t, target.z)
 
-    raw = []
-    for th, arc in zip(theta, s):
-        gamma = float(np.clip(math.sin(th), -1.0, 1.0))
-        r = math.sqrt(max(0.0, 1.0 - gamma * gamma))
-        w = gamma * arc
-        q = r * arc * float(_sinc(w))
-        if axis:
-            phi = 0.0
-        elif q >= 0.0:
-            phi = (chord_angle - w) % TWO_PI
-        else:
-            phi = (chord_angle + math.pi - w) % TWO_PI
-        residual = math.hypot(abs(q) - rho_t, float(_height(gamma, arc)) - target.z)
-        if residual < tol and arc > 0.0:
-            raw.append((gamma, phi, float(arc), residual))
+    gamma = np.clip(np.sin(theta), -1.0, 1.0)
+    r = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
+    w = gamma * arc
+    q = r * arc * _sinc(w)
+    if axis:
+        phi = np.zeros_like(w)
+    else:
+        phi = np.where(q >= 0.0, chord_angle - w, (chord_angle + math.pi) - w) % TWO_PI
+    residual = np.hypot(np.abs(q) - rho_t, _height(gamma, arc) - target.z)
+    ok = (residual < tol) & (arc > 0.0)
+    gamma, phi, arc, residual = gamma[ok], phi[ok], arc[ok], residual[ok]
 
     if axis and abs(target.z) > 0.0:
         # The vertical geodesic reaches every axis point directly.
-        raw.append((math.copysign(1.0, target.z), 0.0, abs(target.z), rho_t))
+        gamma = np.append(gamma, math.copysign(1.0, target.z))
+        phi = np.append(phi, 0.0)
+        arc = np.append(arc, abs(target.z))
+        residual = np.append(residual, rho_t)
 
-    if not raw:
+    if arc.size == 0:
         raise ShootingConvergenceError(
             f"no geodesic found within tolerance {tol} for target "
             f"({target.x}, {target.y}, {target.z})"
         )
 
-    # Keep the best-converged representative of each duplicate cluster.
-    raw.sort(key=lambda c: c[3])
-    kept: list[tuple[float, float, float, float]] = []
-    for cand in raw:
-        for other in kept:
-            d_phi = abs(cand[1] - other[1])
-            d_phi = min(d_phi, TWO_PI - d_phi)
-            if abs(cand[0] - other[0]) + d_phi + abs(cand[2] - other[2]) < _DEDUP_TOL:
-                break
-        else:
-            kept.append(cand)
-    kept.sort(key=lambda c: c[2])
+    kept = _dedup(gamma, phi, arc, residual)
+    kept = kept[np.argsort(arc[kept], kind="stable")]
 
-    return [
-        ShootingSolution(
-            spec=GeodesicSpec(
-                base=ORIGIN,
-                r=math.sqrt(max(0.0, 1.0 - gamma * gamma)),
-                phi=phi,
-                gamma=gamma,
-            ),
-            s=arc,
-            residual=residual,
-            axis_family=axis,
+    solutions = []
+    for i in kept:
+        g = float(gamma[i])
+        solutions.append(
+            ShootingSolution(
+                spec=GeodesicSpec(
+                    base=ORIGIN, r=math.sqrt(max(0.0, 1.0 - g * g)), phi=float(phi[i]), gamma=g
+                ),
+                s=float(arc[i]),
+                residual=float(residual[i]),
+                axis_family=axis,
+            )
         )
-        for gamma, phi, arc, residual in kept
-    ]
+    return solutions
 
 
 def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:

@@ -288,6 +288,24 @@ class TestConfigFile:
         n_v = sum(1 for l in out.read_text().splitlines() if l.startswith("v "))
         assert n_v == 2 + 4 * 10
 
+    @pytest.mark.parametrize(
+        "flag", [["--radius", "2"], ["--radius=2"], ["--rad", "2"]],
+        ids=["separate", "equals", "abbreviated"],
+    )
+    def test_every_flag_spelling_overrides_config(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radius": 3.0, "nphi": 8, "ngamma": 6}))
+        out = tmp_path / "s.obj"
+        expected = tmp_path / "expected.obj"
+        code, _, _ = run(["sphere", "--config", str(cfg), *flag, "--out", str(out)], capsys)
+        assert code == 0
+        code, _, _ = run(
+            ["sphere", "--radius", "2", "--nphi", "8", "--ngamma", "6", "--out", str(expected)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"radios": 2.0}))

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisgeo.core import ORIGIN, FrameVector, HeisPoint, group_mul
 from heisgeo.distances import (
     ShootingConvergenceError,
     TargetUnreachableError,
+    _dedup,
+    _shoot_jacobian,
+    _shoot_residuals,
     brute_force_distance,
     cygan_distance,
     cygan_scaling_check,
@@ -99,10 +104,26 @@ class TestShooting:
         assert all(sol.axis_family for sol in sols)
         assert s_values == sorted(s_values)
 
-    def test_short_target_single_solution(self):
-        sols = shoot_candidates(HeisPoint(1e-3, 0, 0))
+    # Near the origin one seed can reach the straight-line root only in the
+    # last Newton iterations; unpolished, it survives dedup as a second,
+    # less accurate copy of the same geodesic.
+    @pytest.mark.parametrize(
+        "target",
+        [
+            (1e-3, 0, 0),
+            (-1e-3, 0, 0),
+            (0, 1e-3, 0),
+            (1e-3 / math.sqrt(2), 1e-3 / math.sqrt(2), 0),
+            (1e-2, 0, 0),
+            (0, -1e-2, 0),
+            (1e-1, 0, 0),
+        ],
+        ids=["x1e-3", "-x1e-3", "y1e-3", "diag1e-3", "x1e-2", "-y1e-2", "x1e-1"],
+    )
+    def test_short_target_single_solution(self, target):
+        sols = shoot_candidates(HeisPoint(*target))
         assert len(sols) == 1
-        assert abs(sols[0].s - 1e-3) < 1e-9
+        assert abs(sols[0].s - math.hypot(target[0], target[1])) < 1e-9
         assert abs(sols[0].spec.gamma) < 1e-5
 
     def test_candidates_hit_target(self):
@@ -136,6 +157,112 @@ class TestShooting:
                 d_phi = min(d_phi, TWO_PI - d_phi)
                 gap = abs(a.spec.gamma - b.spec.gamma) + d_phi + abs(a.s - b.s)
                 assert gap >= 1e-6
+
+
+class TestShootingJacobian:
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(48)
+        theta = rng.uniform(-3.2, 3.2, 300)
+        s = np.exp(rng.uniform(math.log(1e-3), math.log(150.0), 300))
+        special = [
+            (0.0, 1e-3),  # w = 0 exactly
+            (0.0, 150.0),
+            (1e-4, 2.0),  # series branch of the defect, |w| < 0.5
+            (-0.2, 2.0),
+            (0.01, 40.0),
+            (math.pi / 2, 1.0),
+            (-math.pi / 2, 7.5),
+            (math.pi / 2, 150.0),
+            (math.pi - 1e-3, 3.0),  # theta near pi: c = -1, small gamma
+            (math.pi, 100.0),
+            (-3.2, 150.0),
+            (3.2, 1e-3),
+        ]
+        theta = np.concatenate([theta, [t for t, _ in special]])
+        s = np.concatenate([s, [a for _, a in special]])
+        return theta, s
+
+    @pytest.mark.parametrize("rho_t, z_t, sign", [(0.7, 0.3, 1.0), (2.5, -4.0, -1.0)])
+    def test_matches_central_differences(self, rho_t, z_t, sign):
+        theta, s = self.samples()
+        f1, f2, j11, j12, j21, j22 = _shoot_jacobian(theta, s, rho_t, z_t, sign)
+        g1, g2 = _shoot_residuals(theta, s, rho_t, z_t, sign)
+        np.testing.assert_allclose(f1, g1, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(f2, g2, rtol=1e-12, atol=1e-12)
+
+        # theta-derivatives grow with s, so the theta step shrinks with it.
+        h_t = 1e-5 / np.maximum(1.0, s)
+        h_s = 1e-5 * np.maximum(1.0, s)
+        p1, p2 = _shoot_residuals(theta + h_t, s, rho_t, z_t, sign)
+        m1, m2 = _shoot_residuals(theta - h_t, s, rho_t, z_t, sign)
+        d11, d21 = (p1 - m1) / (2.0 * h_t), (p2 - m2) / (2.0 * h_t)
+        p1, p2 = _shoot_residuals(theta, s + h_s, rho_t, z_t, sign)
+        m1, m2 = _shoot_residuals(theta, s - h_s, rho_t, z_t, sign)
+        d12, d22 = (p1 - m1) / (2.0 * h_s), (p2 - m2) / (2.0 * h_s)
+
+        # Relative to the largest entry of each row, the scale at which
+        # Newton's step uses it.
+        row1 = np.maximum(np.abs(d11), np.abs(d12))
+        row2 = np.maximum(np.abs(d21), np.abs(d22))
+        for analytic, differenced, row in (
+            (j11, d11, row1),
+            (j12, d12, row1),
+            (j21, d21, row2),
+            (j22, d22, row2),
+        ):
+            assert np.all(np.abs(analytic - differenced) <= 1e-6 * row)
+
+
+def _greedy_dedup_reference(raw):
+    """Scalar greedy dedup over (gamma, phi, s, residual) tuples."""
+    raw = sorted(raw, key=lambda c: c[3])
+    kept = []
+    for cand in raw:
+        for other in kept:
+            d_phi = abs(cand[1] - other[1])
+            d_phi = min(d_phi, TWO_PI - d_phi)
+            if abs(cand[0] - other[0]) + d_phi + abs(cand[2] - other[2]) < 1e-6:
+                break
+        else:
+            kept.append(cand)
+    return kept
+
+
+# Clusters of candidates whose members sit within a few dedup tolerances of
+# a center, so that both near and distinct pairs occur; phi centers include
+# both sides of the 0 / 2pi seam and residuals are drawn from a small set so
+# that ties are common.
+_offset = st.floats(-2e-6, 2e-6, allow_nan=False)
+_cluster = st.tuples(
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.one_of(st.just(0.0), st.just(TWO_PI - 3e-7), st.floats(0.0, TWO_PI, exclude_max=True)),
+    st.floats(1e-3, 100.0, allow_nan=False),
+    st.lists(
+        st.tuples(
+            _offset,
+            _offset,
+            _offset,
+            st.sampled_from([0.0, 1e-12, 3e-11, 1e-10, 4e-9, 9.9e-9]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+class TestDedup:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_cluster, min_size=1, max_size=6))
+    def test_matches_scalar_greedy_loop(self, clusters):
+        raw = []
+        for gamma, phi, s, members in clusters:
+            for dg, dp, ds, res in members:
+                raw.append((gamma + dg, (phi + dp) % TWO_PI, s + ds, res))
+        gamma, phi, s, res = (np.array(col) for col in zip(*raw))
+        kept = _dedup(gamma, phi, s, res)
+        got = [(gamma[i], phi[i], s[i], res[i]) for i in kept]
+        assert got == _greedy_dedup_reference(raw)
 
 
 class TestRiemannianDistance:
