@@ -104,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sph.add_argument(
         "--clip-to-metric",
         action="store_true",
-        help="drop vertices metrically closer to the origin than the radius (slow)",
+        help="drop vertices metrically closer to the origin than the radius",
     )
     sph.add_argument("--metric-tol", type=float, default=1e-3)
     sph.add_argument("--format", choices=("obj", "ply"), default="obj")
@@ -149,15 +149,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """Option values from the JSON config file, keyed by option dest."""
+def _config_defaults(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+    """Option values from the JSON config file, keyed by option dest.
+
+    Only options of the command are accepted; positional arguments are
+    always given on the line, so a key naming one is unknown too.
+    """
     if not getattr(args, "config", None):
         return {}
     with open(args.config) as handle:
         values = json.load(handle)
     if not isinstance(values, dict):
         raise ValueError("config file must contain a JSON object")
-    options = set(vars(args)) - {"command"}
+    options = {a.dest for a in command._actions if a.option_strings} & set(vars(args))
     defaults = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
@@ -397,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        defaults = _config_defaults(args)
+        defaults = _config_defaults(args, commands[args.command])
     except (OSError, json.JSONDecodeError) as exc:
         print(f"heisgeo: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,4 +1,4 @@
-"""Distance functions: the Cygan gauge metric and Riemannian shooting.
+"""Distance functions: the Cygan gauge metric and the Riemannian distance.
 
 The Cygan distance is the gauge quantity
 
@@ -10,28 +10,57 @@ left-invariant.  It is homogeneous of degree one under the anisotropic
 dilation (x, y, z) -> (lam*x, lam*y, lam^2*z): balls grow linearly in the
 horizontal directions and quadratically in the vertical one.
 
-The Riemannian distance has no closed form; it is computed by inverting
-the exponential map.  Rotational symmetry about the z-axis reduces the
-boundary-value problem to two unknowns: for a unit-speed geodesic from the
-origin the planar distance and height depend only on (gamma, s),
+The Riemannian distance is solved in the cut-time window.  Left
+translation moves p to the origin; rotation about the z-axis and the
+reflection z -> -z reduce the target to rho = hypot(x, y) >= 0 and |z|.
+The shortest geodesic from the origin turns by at most w = gamma*s <= pi
+(the cut time s = pi/|gamma|, where the rotation family first returns to
+the z-axis; V. Marenich, Geodesics in Heisenberg groups, Geom. Dedicata
+66, 1997).  In that window the two boundary conditions collapse to one
+monotone equation in w,
+
+    |z| = F(w) = w + 2 rho^2 w^3 m(2w) / sin(w)^2,   0 <= w < pi,
+    d   = sqrt(w^2 + (rho / sinc(w))^2),
+
+with m = _sin_defect.  Two charts keep it well conditioned:
+
+- near half, |z| <= pi/2 + pi rho^2 / 4: F is solved for w in [0, pi/2];
+- far half: F is solved for t = sqrt(q^2 - rho^2) >= 0 with
+  q = rho / sin(w), so w = pi - atan2(rho, t), |z| = w (1 + q^2/2) + rho t/2
+  and d = w sqrt(1 + q^2).  Solving for w itself there would lose the
+  digits of pi - w near the axis.
+
+On the axis (rho = 0) the closed form is d = |z| up to the conjugate
+height pi and d = sqrt(2 pi |z| - pi^2) beyond it.  Each 1-D solve is a
+safeguarded Newton-bisection, vectorized over targets
+(riemannian_distance_many).  Every result is certified before it is
+returned: the geodesic's endpoint, rebuilt with origin_coordinates, must
+hit the target to tol * max(1, |target|) plus one rounding unit, and d
+must lie in rho <= d <= rho + min(|z|, sqrt(2 pi |z|)) (the planar
+projection is a submersion; a segment followed by a vertical line or a
+horizontal circle reaches the target).  A failure raises
+ShootingConvergenceError; no uncertified number is returned.
+
+shoot_candidates enumerates connecting geodesics, including those beyond
+the cut time, by Newton's method from a deterministic lattice of
+starting values in the two unknowns (gamma, s): for a unit-speed geodesic
+from the origin the planar distance and height are
 
     planar(gamma, s) = r * s * |sinc(gamma*s)|,   r = sqrt(1 - gamma^2)
     height(gamma, s) = z(gamma, s),
 
 and the initial planar direction phi is recovered afterwards from the
-chord direction of the target.  Newton's method with an analytic Jacobian,
-evaluated in one pass with the residual, runs from a deterministic lattice
-of starting values; solving in the angle theta with gamma = sin(theta)
-avoids the square-root singularity of r at |gamma| = 1.  Seeds still short
-of the Newton tolerance at the iteration cap but within 1e-6 of a root get
-a few more steps before their residual is taken.  Multiple starts matter
-because targets beyond the conjugate locus are reached by several
-geodesics; the converged seeds are reduced to one representative per
-geodesic, and the distance is the smallest arc length among them.
+chord direction of the target.  Each iteration evaluates the residual and
+its analytic Jacobian in one pass; solving in the angle theta with
+gamma = sin(theta) avoids the square-root singularity of r at |gamma| = 1.
+Seeds still short of the Newton tolerance at the iteration cap but within
+1e-6 of a root get a few more steps before their residual is taken.  The
+converged seeds and the cut-time solution are reduced to one
+representative per geodesic.
 
 brute_force_distance is an independent validation oracle: a dense lattice
 over (gamma, phi, s) followed by a derivative-free shrinking-lattice
-refinement.  It shares only the forward closed form with the solver, not
+refinement.  It shares only the forward closed form with the solvers, not
 the inversion strategy.
 """
 
@@ -54,12 +83,13 @@ __all__ = [
     "dilate",
     "shoot_candidates",
     "riemannian_distance",
+    "riemannian_distance_many",
     "brute_force_distance",
 ]
 
 
 class ShootingConvergenceError(RuntimeError):
-    """Raised when the multistart budget yields no residual below tolerance."""
+    """Raised when no geodesic to a target can be certified within tolerance."""
 
 
 class TargetUnreachableError(RuntimeError):
@@ -276,13 +306,179 @@ def _dedup(gamma, phi, s, residual) -> np.ndarray:
     return order[np.array(kept, dtype=np.intp)]
 
 
-def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
-    """All geodesics from the origin reaching target within tol.
+_CUT_ITERATIONS = 60
+_CUT_STEP_TOL = 1e-9
+_BOUND_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 
-    Deduplicated (two solutions are the same when |d gamma| + |d phi| +
-    |d s| < 1e-6, phi compared circularly) and sorted by ascending arc
-    length.  Raises ShootingConvergenceError if the multistart budget is
-    exhausted with no residual below tol.
+
+def _near_half(w, rho, z):
+    """F(w) - |z| and F'(w) for 0 <= w <= pi/2.
+
+    With h(w) = 4 w m(2w) / sinc(w)^2, F = w + rho^2 h / 2 and
+    h' = 2 (1 - h cot(w)), where h cot(w) = 4 m(2w) cos(w) / sinc(w)^3 stays
+    accurate as w -> 0.
+    """
+    defect = _sin_defect(2.0 * w)
+    sinc = _sinc(w)
+    rho2 = rho * rho
+    value = w + 2.0 * rho2 * w * defect / (sinc * sinc) - z
+    slope = 1.0 + rho2 * (1.0 - 4.0 * defect * np.cos(w) / sinc**3)
+    return value, slope
+
+
+def _far_half(t, rho, z):
+    """The window equation minus |z|, and its t-derivative, for w >= pi/2.
+
+    t = sqrt(q^2 - rho^2) = -rho cot(w) with q = rho / sin(w); the equation
+    is smooth in t at w = pi/2 (t = 0), unlike in q.
+    """
+    q = np.hypot(rho, t)
+    w = math.pi - np.arctan2(rho, t)
+    value = w * (1.0 + 0.5 * q * q) + 0.5 * rho * t - z
+    slope = rho / q / q + rho + w * t
+    return value, slope
+
+
+def _solve_increasing(residual, x, lo, hi, rho, z):
+    """Root in [lo, hi] of an increasing residual(x, rho, z), vectorized.
+
+    Safeguarded Newton: every evaluation shrinks the bracket by the sign of
+    the residual, and a step that leaves the bracket is replaced by
+    bisection.  An entry stops on an exact zero, after a Newton step below
+    _CUT_STEP_TOL relative (the convergence is quadratic, so the point it
+    lands on is accurate to rounding), or when its bracket has collapsed to
+    rounding.  Entries still moving at the iteration cap return their last
+    iterate, for the caller's certificate to judge.
+    """
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    active = np.arange(x.size)
+    for _ in range(_CUT_ITERATIONS):
+        if active.size == 0:
+            break
+        xa, la, ha = x[active], lo[active], hi[active]
+        value, slope = residual(xa, rho[active], z[active])
+        la = np.where(value < 0.0, xa, la)
+        ha = np.where(value > 0.0, xa, ha)
+        new = xa - value / slope
+        newton = (new >= la) & (new <= ha)
+        new = np.where(newton, new, 0.5 * (la + ha))
+        root = value == 0.0
+        done = (
+            root
+            | (newton & (np.abs(new - xa) <= _CUT_STEP_TOL * np.abs(new)))
+            | (ha - la <= 4.0 * _EPS * ha)
+        )
+        x[active] = np.where(root, xa, new)
+        lo[active], hi[active] = la, ha
+        active = active[~done]
+    return x
+
+
+def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified shortest geodesic from the origin to each row of points.
+
+    Returns (s, gamma): the arc length, which is the distance, and the
+    signed vertical velocity component; the planar direction is
+    atan2(y, x) - gamma * s.  Raises ShootingConvergenceError naming the
+    first target that fails its certificate.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    rho = np.hypot(x, y)
+    height = np.abs(z)
+    s = np.full_like(rho, np.nan)
+    gamma = np.full_like(rho, np.nan)
+    r = np.full_like(rho, np.nan)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Axis: the vertical line up to the conjugate height pi, then the
+        # rotation family returning to the axis at w = pi.
+        i = np.flatnonzero(rho == 0.0)
+        h = height[i]
+        winds = h > math.pi
+        s[i] = np.where(winds, np.sqrt(2.0 * math.pi * h - math.pi**2), h)
+        gamma[i] = np.where(winds, math.pi / s[i], 1.0)
+        r[i] = np.sqrt((1.0 - gamma[i]) * (1.0 + gamma[i]))
+
+        split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
+        i = np.flatnonzero((rho > 0.0) & (height <= split))
+        if i.size:
+            rho_i, h = rho[i], height[i]
+            top = np.full(i.size, 0.5 * math.pi)
+            # F is convex with F'(0) = 1 + rho^2/3: its tangent at 0 starts
+            # Newton at or above the root.
+            start = np.minimum(h / (1.0 + rho_i * rho_i / 3.0), top)
+            w = _solve_increasing(_near_half, start, np.zeros(i.size), top, rho_i, h)
+            sinc = _sinc(w)
+            s[i] = np.hypot(w, rho_i / sinc)
+            gamma[i] = w / s[i]
+            r[i] = rho_i / (sinc * s[i])
+
+        i = np.flatnonzero((rho > 0.0) & (height > split))
+        if i.size:
+            rho_i, h = rho[i], height[i]
+            # |z| >= (pi/2)(1 + q^2/2) bounds t above.  The start takes the
+            # larger of the far-axis estimate pi (1 + q^2/2) = |z| and the
+            # small-q estimate w = |z|.
+            top = np.sqrt(np.maximum(4.0 * h / math.pi - 2.0 - rho_i * rho_i, 0.0))
+            wide = np.sqrt(np.maximum(2.0 * (h / math.pi - 1.0) - rho_i * rho_i, 0.0))
+            turn = rho_i * np.tan(np.minimum(h, math.pi) - 0.5 * math.pi)
+            start = np.minimum(np.maximum(wide, turn), top)
+            t = _solve_increasing(_far_half, start, np.zeros(i.size), top, rho_i, h)
+            q = np.hypot(rho_i, t)
+            k = np.hypot(1.0, q)
+            s[i] = (math.pi - np.arctan2(rho_i, t)) * k
+            gamma[i] = 1.0 / k
+            r[i] = q / k
+
+        gamma = np.where(z < 0.0, -gamma, gamma)
+        phi = np.arctan2(y, x) - gamma * s
+        ex, ey, ez = origin_coordinates(r, phi, gamma, s)
+        miss = np.sqrt((ex - x) ** 2 + (ey - y) ** 2 + (ez - z) ** 2)
+        scale = np.maximum(1.0, np.sqrt(x * x + y * y + z * z))
+        upper = rho + np.minimum(height, np.sqrt(2.0 * math.pi * height))
+        # The endpoint is rebuilt in double precision, so its miss is known
+        # to one rounding unit of the target's scale at best.
+        certified = (
+            (miss + _EPS * scale <= tol * scale)
+            & (s >= rho * (1.0 - _BOUND_SLACK))
+            & (s <= upper * (1.0 + _BOUND_SLACK))
+        )
+    if not certified.all():
+        k = int(np.flatnonzero(~certified)[0])
+        raise ShootingConvergenceError(
+            f"cannot certify the distance to ({x[k]}, {y[k]}, {z[k]}): endpoint "
+            f"miss {miss[k]:.3g} against tolerance {tol * scale[k]:.3g}, length "
+            f"{float(s[k])!r} against bounds [{float(rho[k])!r}, {float(upper[k])!r}]"
+        )
+    return s, gamma
+
+
+def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
+    """Riemannian distance from the origin to each row of an (n, 3) array.
+
+    One cut-time solve per target, vectorized over targets (see the module
+    docstring); every value is certified or ShootingConvergenceError is
+    raised.
+    """
+    return _cut_time_geodesics(points, tol)[0]
+
+
+def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
+    """Geodesics from the origin reaching target within tol.
+
+    The converged lattice seeds (residual below tol) and the cut-time
+    solution, which is the shortest geodesic, are deduplicated (two
+    solutions are the same when |d gamma| + |d phi| + |d s| < 1e-6, phi
+    compared circularly) and sorted by ascending arc length, so the first
+    entry is the shortest geodesic.  Geodesics beyond the cut time are found only
+    as far as the seed lattice (s <= 100) and Newton (s <= 150) reach: far
+    winding branches of targets with |z| above about 90 can be missing.
+    Raises ShootingConvergenceError if the cut-time solution cannot be
+    certified.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -294,8 +490,12 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     axis = rho_t < _AXIS_TOL
 
     theta, arc = _newton_shoot(rho_t, target.z)
+    cut_s, cut_gamma = _cut_time_geodesics([(target.x, target.y, target.z)], tol)
 
-    gamma = np.clip(np.sin(theta), -1.0, 1.0)
+    # The cut-time solution goes last; its certificate, relative to the
+    # target's scale, replaces the residual filter of the seeds.
+    gamma = np.append(np.clip(np.sin(theta), -1.0, 1.0), cut_gamma)
+    arc = np.append(arc, cut_s)
     r = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
     w = gamma * arc
     q = r * arc * _sinc(w)
@@ -305,6 +505,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
         phi = np.where(q >= 0.0, chord_angle - w, (chord_angle + math.pi) - w) % TWO_PI
     residual = np.hypot(np.abs(q) - rho_t, _height(gamma, arc) - target.z)
     ok = (residual < tol) & (arc > 0.0)
+    ok[-1] = True
     gamma, phi, arc, residual = gamma[ok], phi[ok], arc[ok], residual[ok]
 
     if axis and abs(target.z) > 0.0:
@@ -313,12 +514,6 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
         phi = np.append(phi, 0.0)
         arc = np.append(arc, abs(target.z))
         residual = np.append(residual, rho_t)
-
-    if arc.size == 0:
-        raise ShootingConvergenceError(
-            f"no geodesic found within tolerance {tol} for target "
-            f"({target.x}, {target.y}, {target.z})"
-        )
 
     kept = _dedup(gamma, phi, arc, residual)
     kept = kept[np.argsort(arc[kept], kind="stable")]
@@ -340,19 +535,13 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
 
 
 def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:
-    """Length of the shortest found geodesic between p and q.
+    """Riemannian distance between p and q, certified (see the module docstring).
 
     Left-invariant by construction: the problem is translated to
-    distance(0, p^-1 * q) before solving.  Among converged shooting
-    candidates the minimal arc length is reported; global minimality is
-    backed by the brute-force oracle rather than guaranteed a priori.
+    distance(0, p^-1 * q) and solved by riemannian_distance_many.
     """
-    if p == q:
-        return 0.0
     delta = group_mul(group_inv(p), q)
-    if delta == ORIGIN:
-        return 0.0
-    return shoot_candidates(delta, tol=tol)[0].s
+    return float(riemannian_distance_many([(delta.x, delta.y, delta.z)], tol=tol)[0])
 
 
 def _endpoint_grid(gammas, phis, lengths):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import HeisPoint, group_mul
-from .distances import riemannian_distance
+from .distances import riemannian_distance_many
 from .geodesics import TWO_PI, GeodesicSpec, origin_coordinates
 
 __all__ = [
@@ -313,12 +313,7 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     geodesic exists and the vertex no longer lies on the metric sphere.
     Attaches the per-vertex shortfall as scalar channel "distance_defect".
     """
-    defects = np.array(
-        [
-            radius - riemannian_distance(HeisPoint(0.0, 0.0, 0.0), HeisPoint.of(v))
-            for v in mesh.vertices
-        ]
-    )
+    defects = radius - riemannian_distance_many(mesh.vertices)
     keep = defects <= tol
     index_map = -np.ones(mesh.n_vertices, dtype=np.int64)
     index_map[keep] = np.arange(int(keep.sum()))

@@ -199,6 +199,15 @@ class TestDistanceCommand:
         assert abs(records[0]["s"] - TWO_PI) < 1e-7
         assert records[0]["axis_family"] is True
 
+    @pytest.mark.parametrize("q", ["0,0,1e4", "200,0,0", "1e-5,0,-1e4"])
+    def test_candidates_start_with_the_distance(self, capsys, q):
+        code, out, _ = run(["distance", "0,0,0", q, "--all-candidates"], capsys)
+        assert code == 0
+        first = json.loads(out.splitlines()[0])
+        code, out, _ = run(["distance", "0,0,0", q], capsys)
+        assert code == 0
+        assert first["s"] == float(out)
+
     def test_candidates_need_distinct_points(self, capsys):
         code, _, err = run(
             ["distance", "--metric", "riemannian", "1,0,0", "1,0,0",
@@ -314,6 +323,17 @@ class TestConfigFile:
             capsys,
         )
         assert code == 2 and "radios" in err
+
+    def test_positional_key_rejected(self, capsys, tmp_path):
+        # Positional arguments come from the line only; a key naming one
+        # used to be accepted and ignored.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "9,9,9"}))
+        code, out, err = run(
+            ["distance", "--config", str(cfg), "--metric", "cygan", "0,0,0", "1,0,0"],
+            capsys,
+        )
+        assert code == 2 and "'p'" in err and out == ""
 
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from heisgeo.distances import (
     cygan_scaling_check,
     dilate,
     riemannian_distance,
+    riemannian_distance_many,
     shoot_candidates,
 )
 from heisgeo.geodesics import exp_map
@@ -362,3 +364,147 @@ class TestMetricAxioms:
         d = riemannian_distance(ORIGIN, target)
         for sol in shoot_candidates(target):
             assert d <= sol.s + 1e-12
+
+
+def _mp_cut_time_distance(rho, z):
+    """Distance from the origin to (rho, 0, z) by 60-digit bisection of F."""
+    with mpmath.workdps(60):
+        rho, z = mpmath.mpf(rho), abs(mpmath.mpf(z))
+
+        def excess(w):
+            sin_w = mpmath.sin(w)
+            return w + rho**2 * (w - sin_w * mpmath.cos(w)) / (2 * sin_w**2) - z
+
+        lo, hi = mpmath.mpf(0), mpmath.pi
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        w = (lo + hi) / 2
+        return float(w * mpmath.sqrt(1 + (rho / mpmath.sin(w)) ** 2))
+
+
+class TestCutTimeSolver:
+    def test_tall_axis_target_winds_once(self):
+        # The vertical line (length 1e4) is far from minimizing; the circle
+        # family returning to the axis at the cut time is.
+        d = riemannian_distance(ORIGIN, HeisPoint(0, 0, 1e4))
+        assert d == pytest.approx(math.sqrt(2 * math.pi * 1e4 - math.pi**2), rel=1e-14)
+        assert 250.6431 < d < 250.6432
+
+    def test_long_straight_segment(self):
+        assert riemannian_distance(ORIGIN, HeisPoint(200, 0, 0)) == 200.0
+
+    def test_tiny_target_respects_planar_bound(self):
+        d = riemannian_distance(ORIGIN, HeisPoint(1e-6, 0, 1e-9))
+        assert d == pytest.approx(1.0000004999998750e-6, rel=1e-15)
+        assert d >= 1e-6
+
+    @pytest.mark.parametrize("target", [(1e-5, 0, 1e4), (1e-7, 0, 50), (1e-3, 0, 1e6)])
+    def test_near_axis_against_mpmath(self, target):
+        d = riemannian_distance(ORIGIN, HeisPoint(*target))
+        assert d == pytest.approx(_mp_cut_time_distance(target[0], target[2]), rel=1e-12)
+
+    def test_batch_matches_single_calls(self):
+        targets = np.array([[0.3, -0.2, 1.5], [0, 0, -4.0], [2.0, 1.0, 0.0], [0, 0, 0]])
+        batch = riemannian_distance_many(targets)
+        single = [riemannian_distance(ORIGIN, HeisPoint(*t)) for t in targets]
+        assert batch.tolist() == single
+        assert batch[-1] == 0.0
+
+    def test_uncertifiable_tolerance_raises(self):
+        with pytest.raises(ShootingConvergenceError, match="cannot certify"):
+            riemannian_distance_many([[1.0, 0.0, 0.0]], tol=1e-30)
+        with pytest.raises(ValueError):
+            riemannian_distance_many([[1.0, 0.0, 0.0]], tol=0.0)
+
+    @pytest.mark.parametrize("target", [(0, 0, 1e4), (200, 0, 0), (1e-5, 0, -1e4)])
+    def test_candidates_include_the_minimizer(self, target):
+        sols = shoot_candidates(HeisPoint(*target))
+        assert sols[0].s == riemannian_distance(ORIGIN, HeisPoint(*target))
+        sol = sols[0]
+        end = exp_map(
+            ORIGIN,
+            FrameVector(
+                sol.s * sol.spec.r * math.cos(sol.spec.phi),
+                sol.s * sol.spec.r * math.sin(sol.spec.phi),
+                sol.s * sol.spec.gamma,
+            ),
+        )
+        scale = max(1.0, math.sqrt(sum(c * c for c in target)))
+        assert np.linalg.norm(end.as_array() - np.array(target, float)) <= 1e-8 * scale
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _targets(draw):
+    """Targets at log-uniform scale lam in [1e-6, 1e4]: (lam a, lam b, lam^2 c).
+
+    A third lie exactly on the z-axis and a third next to it, with planar
+    distance down to 1e-12 of the height.
+    """
+    lam = 10.0 ** draw(st.floats(-6.0, 4.0))
+    kind = draw(st.sampled_from(["generic", "axis", "near-axis"]))
+    z = lam * lam * draw(_unit)
+    if kind == "axis":
+        return 0.0, 0.0, z
+    angle = draw(st.floats(0.0, TWO_PI))
+    if kind == "near-axis":
+        rho = abs(z) * 10.0 ** draw(st.floats(-12.0, -3.0))
+    else:
+        rho = lam * abs(draw(_unit))
+    return rho * math.cos(angle), rho * math.sin(angle), z
+
+
+def _distance(x, y, z):
+    return riemannian_distance(ORIGIN, HeisPoint(x, y, z))
+
+
+class TestCutTimeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(_targets())
+    def test_bounds(self, target):
+        x, y, z = target
+        rho = math.hypot(x, y)
+        d = _distance(x, y, z)
+        upper = rho + min(abs(z), math.sqrt(2.0 * math.pi * abs(z)))
+        assert rho * (1 - 1e-12) <= d <= upper * (1 + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_targets(), st.floats(0.0, TWO_PI))
+    def test_reflection_and_rotation_invariance(self, target, turn):
+        x, y, z = target
+        d = _distance(x, y, z)
+        assert _distance(x, y, -z) == pytest.approx(d, rel=1e-14, abs=0.0)
+        c, s = math.cos(turn), math.sin(turn)
+        assert _distance(c * x - s * y, s * x + c * y, z) == pytest.approx(d, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e4, 1e4, allow_nan=False).filter(lambda v: v != 0.0))
+    def test_straight_line(self, x):
+        assert _distance(x, 0.0, 0.0) == abs(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    )
+    def test_left_invariance(self, p, q, g):
+        p, q, g = HeisPoint(*p), HeisPoint(*q), HeisPoint(*g)
+        d = riemannian_distance(p, q)
+        assert riemannian_distance(group_mul(g, p), group_mul(g, q)) == pytest.approx(
+            d, rel=1e-9, abs=1e-9
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda t: t != (0.0, 0.0, 0.0)))
+    def test_agrees_with_enumeration(self, target):
+        # No geodesic the multistart enumeration finds is shorter.
+        target = HeisPoint(*target)
+        d = riemannian_distance(ORIGIN, target)
+        assert shoot_candidates(target)[0].s == pytest.approx(d, rel=1e-9, abs=1e-9)

@@ -9,6 +9,7 @@ from heisgeo.core import ORIGIN, HeisPoint
 from heisgeo.distances import riemannian_distance
 from heisgeo.geodesics import GeodesicSpec, geodesic_from_origin
 from heisgeo.meshing import (
+    DEFAULT_DETECTION_GRID,
     MeshError,
     NoSingularityError,
     SphereGrid,
@@ -276,6 +277,17 @@ class TestMetricClip:
         clipped = clip_sphere_to_metric(mesh, 1.0)
         assert clipped.n_vertices == mesh.n_vertices
         assert np.max(np.abs(clipped.vertex_scalars["distance_defect"])) < 1e-3
+
+    @pytest.mark.parametrize("radius, kept", [(4.0, 14400), (5.0, 11520), (20.0, 2880)])
+    def test_keeps_exactly_the_cut_time_window(self, radius, kept):
+        # A vertex stays on the metric sphere iff its generating geodesic
+        # turns by at most pi: radius * |gamma| <= pi.
+        mesh = sphere_exp_mesh(SphereGrid(*DEFAULT_DETECTION_GRID, radius))
+        clipped = clip_sphere_to_metric(mesh, radius)
+        window = radius * np.abs(mesh.vertex_scalars["gamma"]) <= math.pi
+        assert clipped.n_vertices == kept == int(window.sum())
+        np.testing.assert_array_equal(clipped.vertices, mesh.vertices[window])
+        assert np.max(np.abs(clipped.vertex_scalars["distance_defect"])) < 1e-12
 
 
 class TestPolyline:
