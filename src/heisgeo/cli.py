@@ -41,7 +41,7 @@ from .meshing import (
     singular_point_closeup,
     sphere_exp_mesh,
 )
-from .writers import format_float, write_jsonl, write_obj, write_ply
+from .writers import format_float, write_obj, write_ply
 
 __all__ = ["main", "entrypoint"]
 
@@ -203,14 +203,9 @@ def _cmd_geodesic(args) -> int:
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(format_float(v) for v in row) for row in rows]
-        _write_lines(lines, args.out)
     else:
-        records = [dict(zip(header, row)) for row in rows]
-        if args.out == "-":
-            for rec in records:
-                sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            write_jsonl(records, args.out)
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 

@@ -25,10 +25,10 @@ monotone equation in w,
 with m = _sin_defect.  Two charts keep it well conditioned:
 
 - near half, |z| <= pi/2 + pi rho^2 / 4: F is solved for w in [0, pi/2];
-- far half: F is solved for t = sqrt(q^2 - rho^2) >= 0 with
-  q = rho / sin(w), so w = pi - atan2(rho, t), |z| = w (1 + q^2/2) + rho t/2
-  and d = w sqrt(1 + q^2).  Solving for w itself there would lose the
-  digits of pi - w near the axis.
+- far half: F is solved for t = -rho cot(w) >= 0, with q = rho / sin(w),
+  w = pi - atan2(rho, t), |z| = w (1 + q^2/2) + rho t/2 and
+  d = w sqrt(1 + q^2).  Solving for w itself there would lose the digits
+  of pi - w near the axis.
 
 On the axis (rho = 0) the closed form is d = |z| up to the conjugate
 height pi and d = sqrt(2 pi |z| - pi^2) beyond it.  Each 1-D solve is a
@@ -41,22 +41,19 @@ projection is a submersion; a segment followed by a vertical line or a
 horizontal circle reaches the target).  A failure raises
 ShootingConvergenceError; no uncertified number is returned.
 
-shoot_candidates enumerates connecting geodesics, including those beyond
-the cut time, by Newton's method from a deterministic lattice of
-starting values in the two unknowns (gamma, s): for a unit-speed geodesic
-from the origin the planar distance and height are
+shoot_candidates lists every connecting geodesic, one winding window
+k pi < w < (k+1) pi at a time.  The far-half chart covers each whole
+window: with t = -rho cot(w) in R, w = (k+1) pi - atan2(rho, t) and
+q = hypot(rho, t), the geodesics in window k are the roots of
 
-    planar(gamma, s) = r * s * |sinc(gamma*s)|,   r = sqrt(1 - gamma^2)
-    height(gamma, s) = z(gamma, s),
+    G_k(t) = w (1 + q^2/2) + rho t/2 - |z|,   G_k'(t) = rho/q^2 + rho + w t,
 
-and the initial planar direction phi is recovered afterwards from the
-chord direction of the target.  Each iteration evaluates the residual and
-its analytic Jacobian in one pass; solving in the angle theta with
-gamma = sin(theta) avoids the square-root singularity of r at |gamma| = 1.
-Seeds still short of the Newton tolerance at the iteration cap but within
-1e-6 of a root get a few more steps before their residual is taken.  The
-converged seeds and the cut-time solution are reduced to one
-representative per geodesic.
+with s = w sqrt(1 + q^2) and |gamma| = 1 / sqrt(1 + q^2).  Window 0 holds
+exactly the cut-time solution.  For k >= 1, G_k' > 0 on t >= 0 and G_k'
+increases on t < 0, so G_k has one minimizer t* < 0 and a root on each
+side of it when G_k(t*) < 0; since G_k > k pi - |z|, windows beyond
+k = floor(|z| / pi) are empty.  All three 1-D solves of a target (t*,
+left and right root) are vectorized over its windows.
 
 brute_force_distance is an independent validation oracle: a dense lattice
 over (gamma, phi, s) followed by a derivative-free shrinking-lattice
@@ -139,172 +136,7 @@ def _height(gamma, s):
     return 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
 
 
-def _shoot_residuals(theta, s, rho_t, z_t, sign):
-    """Smooth 2-vector residual in the (theta, s) chart, vectorized."""
-    gamma = np.sin(theta)
-    w = gamma * s
-    q = np.cos(theta) * s * _sinc(w)
-    return q - sign * rho_t, _height(gamma, s) - z_t
-
-
-def _shoot_jacobian(theta, s, rho_t, z_t, sign):
-    """Residual and its analytic Jacobian in the (theta, s) chart, fused.
-
-    Returns (f1, f2, j11, j12, j21, j22) with j11 = df1/dtheta, j12 =
-    df1/ds, j21 = df2/dtheta, j22 = df2/ds.  With gamma = sin(theta),
-    c = cos(theta), w = gamma*s and m = _sin_defect:
-
-        df1/ds     = c cos(w)
-        df1/dtheta = -s gamma sinc(w) + c^2 s^2 sinc'(w)
-        df2/ds     = gamma + c^2 s sinc(w) sin(w)
-        df2/dtheta = c (s cos(w)^2 + s^3 (sinc(w)^2 - 4 m(2w)))
-
-    where sinc'(w) = -w (sinc(w/2)^2 / 2 - m(w)) stays accurate as w -> 0.
-    """
-    gamma = np.sin(theta)
-    c = np.cos(theta)
-    w = gamma * s
-    sin_w = np.sin(w)
-    cos_w = np.cos(w)
-    sinc_w = _sinc(w)
-    defect_2w = _sin_defect(2.0 * w)
-    s2 = s * s
-    f1 = c * s * sinc_w - sign * rho_t
-    f2 = 0.5 * w + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s * s2 * defect_2w - z_t
-    d_sinc = -w * (0.5 * _sinc(0.5 * w) ** 2 - _sin_defect(w))
-    j11 = -s * gamma * sinc_w + c * c * s2 * d_sinc
-    j12 = c * cos_w
-    j21 = c * (s * cos_w * cos_w + s * s2 * (sinc_w * sinc_w - 4.0 * defect_2w))
-    j22 = gamma + c * c * s * sinc_w * sin_w
-    return f1, f2, j11, j12, j21, j22
-
-
-_SEED_GAMMAS = 32
-_SEED_LENGTHS = 128
-_NEWTON_ITERATIONS = 50
-_NEWTON_TOL = 1e-10
-_POLISH_RESIDUAL = 1e-6
-_POLISH_STEPS = 8
-_DEDUP_TOL = 1e-6
 _AXIS_TOL = 1e-12
-
-
-def _seed_lattice() -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic multistart lattice over (theta, s).
-
-    gamma runs uniformly over [-1, 1]; each row gets arc lengths up to
-    4*pi / max(|gamma|, 0.05) capped at 100, enough for several windings of
-    the planar circle at that pitch.
-    """
-    gammas = np.linspace(-1.0, 1.0, _SEED_GAMMAS)
-    s_caps = np.minimum(4.0 * np.pi / np.maximum(np.abs(gammas), 0.05), 100.0)
-    fractions = np.arange(1, _SEED_LENGTHS + 1) / _SEED_LENGTHS
-    theta = np.repeat(np.arcsin(gammas), _SEED_LENGTHS)
-    s = (s_caps[:, None] * fractions[None, :]).ravel()
-    return theta, s
-
-
-def _newton_step(theta, s, f1, f2, j11, j12, j21, j22):
-    """Damped Newton update; returns (theta, s, singular)."""
-    det = j11 * j22 - j12 * j21
-    singular = np.abs(det) < 1e-14
-    det = np.where(singular, 1.0, det)
-    d_theta = np.clip(-(j22 * f1 - j12 * f2) / det, -0.5, 0.5)
-    d_s = np.clip(-(-j21 * f1 + j11 * f2) / det, -2.0, 2.0)
-    return theta + d_theta, np.maximum(s + d_s, 1e-9), singular
-
-
-def _newton_shoot(rho_t: float, z_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run damped Newton from every seed; return their final (theta, s).
-
-    Each iteration evaluates the residual and its analytic Jacobian in one
-    pass, retires seeds whose residual falls below _NEWTON_TOL and drops
-    seeds that leave the chart or hit a singular Jacobian.  Survivors of
-    the iteration cap are returned too; the caller filters all seeds by
-    its own tolerance.
-    """
-    theta0, s0 = _seed_lattice()
-    if rho_t < _AXIS_TOL:
-        signs = np.ones_like(theta0)
-    else:
-        # Chord radius can carry either sign of sinc; both sheets of the
-        # residual map are explored.
-        theta0 = np.concatenate([theta0, theta0])
-        s0 = np.concatenate([s0, s0])
-        signs = np.concatenate([np.ones(theta0.size // 2), -np.ones(theta0.size // 2)])
-
-    theta, s, sign = theta0.copy(), s0.copy(), signs
-    done_theta, done_s = [], []
-
-    for _ in range(_NEWTON_ITERATIONS):
-        f1, f2, j11, j12, j21, j22 = _shoot_jacobian(theta, s, rho_t, z_t, sign)
-        res = np.hypot(f1, f2)
-        conv = res < _NEWTON_TOL
-        if conv.any():
-            done_theta.append(theta[conv])
-            done_s.append(s[conv])
-            keep = ~conv
-            theta, s, sign, f1, f2, j11, j12, j21, j22, res = (
-                a[keep] for a in (theta, s, sign, f1, f2, j11, j12, j21, j22, res)
-            )
-        if theta.size == 0:
-            break
-
-        theta, s, singular = _newton_step(theta, s, f1, f2, j11, j12, j21, j22)
-        alive = ~singular & (np.abs(theta) <= 3.2) & (s <= 150.0) & np.isfinite(res)
-        theta, s, sign = theta[alive], s[alive], sign[alive]
-
-    if theta.size:
-        # Survivors of the iteration cap may still be acceptable at the
-        # caller's (looser) tolerance, e.g. near conjugate points where the
-        # Jacobian degenerates and convergence slows.  Those already close
-        # to a root get a few more steps first: a seed that reaches a root
-        # only in the last iterations would otherwise be reported as a
-        # separate, less accurate copy of it.
-        f1, f2 = _shoot_residuals(theta, s, rho_t, z_t, sign)
-        near = np.flatnonzero(np.hypot(f1, f2) < _POLISH_RESIDUAL)
-        if near.size:
-            t, arc, sg = theta[near], s[near], sign[near]
-            for _ in range(_POLISH_STEPS):
-                f1, f2, j11, j12, j21, j22 = _shoot_jacobian(t, arc, rho_t, z_t, sg)
-                moving = np.hypot(f1, f2) >= _NEWTON_TOL
-                if not moving.any():
-                    break
-                new_t, new_arc, singular = _newton_step(t, arc, f1, f2, j11, j12, j21, j22)
-                step = moving & ~singular
-                t = np.where(step, new_t, t)
-                arc = np.where(step, new_arc, arc)
-            theta[near], s[near] = t, arc
-        done_theta.append(theta)
-        done_s.append(s)
-
-    if not done_theta:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(done_theta), np.concatenate(done_s)
-
-
-def _dedup(gamma, phi, s, residual) -> np.ndarray:
-    """Indices of the best-converged representative of each duplicate cluster.
-
-    Candidates are visited in order of ascending residual (ties keep input
-    order); each is kept unless it lies within L1 distance _DEDUP_TOL of an
-    already kept one, phi compared circularly.  Equivalently: keep the
-    first remaining candidate, drop everything near it, repeat.  Returned
-    in visiting order.
-    """
-    order = np.argsort(residual, kind="stable")
-    gamma, phi, s = gamma[order], phi[order], s[order]
-    remaining = np.arange(order.size)
-    kept = []
-    while remaining.size:
-        first, rest = remaining[0], remaining[1:]
-        kept.append(first)
-        d_phi = np.abs(phi[rest] - phi[first])
-        d_phi = np.minimum(d_phi, TWO_PI - d_phi)
-        gap = np.abs(gamma[rest] - gamma[first]) + d_phi + np.abs(s[rest] - s[first])
-        remaining = rest[~(gap < _DEDUP_TOL)]
-    return order[np.array(kept, dtype=np.intp)]
-
 
 _CUT_ITERATIONS = 60
 _CUT_STEP_TOL = 1e-9
@@ -327,22 +159,49 @@ def _near_half(w, rho, z):
     return value, slope
 
 
-def _far_half(t, rho, z):
-    """The window equation minus |z|, and its t-derivative, for w >= pi/2.
+def _window(t, rho, z, end):
+    """G_k(t) = F(w) - |z| and its t-derivative in window k (module docstring).
 
-    t = sqrt(q^2 - rho^2) = -rho cot(w) with q = rho / sin(w); the equation
-    is smooth in t at w = pi/2 (t = 0), unlike in q.
+    Windows are passed by their end angle, end = (k + 1) pi.  t = -rho cot(w)
+    runs over all of R in each window; the equation is smooth in t at
+    w = (k + 1/2) pi (t = 0), unlike in q = rho / |sin(w)|.
     """
     q = np.hypot(rho, t)
-    w = math.pi - np.arctan2(rho, t)
+    w = end - np.arctan2(rho, t)
     value = w * (1.0 + 0.5 * q * q) + 0.5 * rho * t - z
     slope = rho / q / q + rho + w * t
     return value, slope
 
 
-def _solve_increasing(residual, x, lo, hi, rho, z):
-    """Root in [lo, hi] of an increasing residual(x, rho, z), vectorized.
+def _window_slope(t, rho, end):
+    """G_k'(t) and G_k''(t).
 
+    For k >= 1, G_k' is positive on t >= 0 and increases on t < 0, where
+    G_k'' >= k pi - 1/2.
+    """
+    q2 = rho * rho + t * t
+    w = end - np.arctan2(rho, t)
+    return rho / q2 + rho + w * t, w + rho * t * (q2 - 2.0) / (q2 * q2)
+
+
+def _falling(t, rho, z, end):
+    """-G_k and its slope, increasing left of the window's minimizer."""
+    value, slope = _window(t, rho, z, end)
+    return -value, -slope
+
+
+def _window_geodesics(t, rho, end):
+    """(s, |gamma|, r) of the geodesic at t in the window ending at end."""
+    q = np.hypot(rho, t)
+    root = np.hypot(1.0, q)
+    w = end - np.arctan2(rho, t)
+    return w * root, 1.0 / root, q / root
+
+
+def _solve_increasing(residual, x, lo, hi, *params):
+    """Root in [lo, hi] of an increasing residual(x, *params), vectorized.
+
+    params are per-entry arrays, such as rho, |z| and the window's end.
     Safeguarded Newton: every evaluation shrinks the bracket by the sign of
     the residual, and a step that leaves the bracket is replaced by
     bisection.  An entry stops on an exact zero, after a Newton step below
@@ -357,7 +216,7 @@ def _solve_increasing(residual, x, lo, hi, rho, z):
         if active.size == 0:
             break
         xa, la, ha = x[active], lo[active], hi[active]
-        value, slope = residual(xa, rho[active], z[active])
+        value, slope = residual(xa, *(p[active] for p in params))
         la = np.where(value < 0.0, xa, la)
         ha = np.where(value > 0.0, xa, ha)
         new = xa - value / slope
@@ -367,7 +226,7 @@ def _solve_increasing(residual, x, lo, hi, rho, z):
         done = (
             root
             | (newton & (np.abs(new - xa) <= _CUT_STEP_TOL * np.abs(new)))
-            | (ha - la <= 4.0 * _EPS * ha)
+            | (ha - la <= 4.0 * _EPS * np.abs(ha))
         )
         x[active] = np.where(root, xa, new)
         lo[active], hi[active] = la, ha
@@ -375,13 +234,13 @@ def _solve_increasing(residual, x, lo, hi, rho, z):
     return x
 
 
-def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified shortest geodesic from the origin to each row of points.
 
-    Returns (s, gamma): the arc length, which is the distance, and the
-    signed vertical velocity component; the planar direction is
-    atan2(y, x) - gamma * s.  Raises ShootingConvergenceError naming the
-    first target that fails its certificate.
+    Returns (s, gamma, r): the arc length, which is the distance, the
+    signed vertical velocity component and the planar speed; the planar
+    direction is atan2(y, x) - gamma * s.  Raises ShootingConvergenceError
+    naming the first target that fails its certificate.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -420,6 +279,7 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
         i = np.flatnonzero((rho > 0.0) & (height > split))
         if i.size:
             rho_i, h = rho[i], height[i]
+            end = np.full(i.size, math.pi)
             # |z| >= (pi/2)(1 + q^2/2) bounds t above.  The start takes the
             # larger of the far-axis estimate pi (1 + q^2/2) = |z| and the
             # small-q estimate w = |z|.
@@ -427,12 +287,8 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
             wide = np.sqrt(np.maximum(2.0 * (h / math.pi - 1.0) - rho_i * rho_i, 0.0))
             turn = rho_i * np.tan(np.minimum(h, math.pi) - 0.5 * math.pi)
             start = np.minimum(np.maximum(wide, turn), top)
-            t = _solve_increasing(_far_half, start, np.zeros(i.size), top, rho_i, h)
-            q = np.hypot(rho_i, t)
-            k = np.hypot(1.0, q)
-            s[i] = (math.pi - np.arctan2(rho_i, t)) * k
-            gamma[i] = 1.0 / k
-            r[i] = q / k
+            t = _solve_increasing(_window, start, np.zeros(i.size), top, rho_i, h, end)
+            s[i], gamma[i], r[i] = _window_geodesics(t, rho_i, end)
 
         gamma = np.where(z < 0.0, -gamma, gamma)
         phi = np.arctan2(y, x) - gamma * s
@@ -454,7 +310,42 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
             f"miss {miss[k]:.3g} against tolerance {tol * scale[k]:.3g}, length "
             f"{float(s[k])!r} against bounds [{float(rho[k])!r}, {float(upper[k])!r}]"
         )
-    return s, gamma
+    return s, gamma, r
+
+
+def _winding_geodesics(rho: float, height: float):
+    """(s, |gamma|, r) of the geodesics to (rho, 0, height) in windows k >= 1.
+
+    Each G_k is unimodal: its minimizer t* < 0 is the root of G_k', and G_k
+    has a root on each side of t* when G_k(t*) < 0, one double root when
+    G_k(t*) is zero to rounding, and none otherwise.  G_k > k pi - |z|, so
+    no window beyond k = floor(|z| / pi) has a root.
+    """
+    k = np.arange(1, int(height // math.pi) + 1)
+    kpi = k * math.pi
+    end = (k + 1) * math.pi
+    rho_k = np.full(k.size, rho)
+    z_k = np.full(k.size, height)
+    # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
+    lo = -(1.0 + 2.0 * rho / kpi)
+    t_min = _solve_increasing(_window_slope, lo, lo, np.zeros(k.size), rho_k, end)
+    g_min = _window(t_min, rho_k, z_k, end)[0]
+    double = np.abs(g_min) <= 4.0 * _EPS * height
+    i = np.flatnonzero((g_min < 0.0) & ~double)
+    # G_k >= k pi (1 + t^2/2) + rho t/2 - |z| puts both roots inside
+    # [left, right].
+    right = np.sqrt(2.0 * height / kpi[i])
+    left = -(0.5 * rho + np.sqrt(0.25 * rho * rho + 2.0 * kpi[i] * height)) / kpi[i]
+    params = (rho_k[i], z_k[i], end[i])
+    t = np.concatenate(
+        [
+            t_min[double],
+            _solve_increasing(_falling, left, left, t_min[i], *params),
+            _solve_increasing(_window, right, t_min[i], right, *params),
+        ]
+    )
+    end = np.concatenate([end[double], end[i], end[i]])
+    return _window_geodesics(t, rho, end)
 
 
 def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
@@ -468,70 +359,71 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
 
 
 def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
-    """Geodesics from the origin reaching target within tol.
+    """Every geodesic from the origin to target, by ascending arc length.
 
-    The converged lattice seeds (residual below tol) and the cut-time
-    solution, which is the shortest geodesic, are deduplicated (two
-    solutions are the same when |d gamma| + |d phi| + |d s| < 1e-6, phi
-    compared circularly) and sorted by ascending arc length, so the first
-    entry is the shortest geodesic.  Geodesics beyond the cut time are found only
-    as far as the seed lattice (s <= 100) and Newton (s <= 150) reach: far
-    winding branches of targets with |z| above about 90 can be missing.
-    Raises ShootingConvergenceError if the cut-time solution cannot be
-    certified.
+    The first entry is the certified cut-time solution (window 0), the
+    shortest geodesic.  Off the z-axis each window k >= 1 adds the roots of
+    G_k (module docstring), so a target lists about 2 |z| / pi geodesics.
+    On the axis (planar distance below _AXIS_TOL) the geodesics returning
+    to it form circles, one representative each (phi = 0, axis_family):
+    w = k pi with s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and
+    the vertical line when |z| > pi.  Every geodesic's endpoint, rebuilt
+    with origin_coordinates, must hit the target to tol * max(1, |target|)
+    plus one rounding unit, else ShootingConvergenceError is raised.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if target == ORIGIN:
         raise ValueError("target must differ from the origin")
 
-    rho_t = math.hypot(target.x, target.y)
-    chord_angle = math.atan2(target.y, target.x)
-    axis = rho_t < _AXIS_TOL
-
-    theta, arc = _newton_shoot(rho_t, target.z)
-    cut_s, cut_gamma = _cut_time_geodesics([(target.x, target.y, target.z)], tol)
-
-    # The cut-time solution goes last; its certificate, relative to the
-    # target's scale, replaces the residual filter of the seeds.
-    gamma = np.append(np.clip(np.sin(theta), -1.0, 1.0), cut_gamma)
-    arc = np.append(arc, cut_s)
-    r = np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))
-    w = gamma * arc
-    q = r * arc * _sinc(w)
+    x, y, z = target.x, target.y, target.z
+    rho = math.hypot(x, y)
+    height = abs(z)
+    axis = rho < _AXIS_TOL
+    s, gamma, r = _cut_time_geodesics([(x, y, z)], tol)
     if axis:
-        phi = np.zeros_like(w)
+        # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
+        # cut-time solution), then the vertical line as the limit k pi = |z|.
+        kpi = np.arange(2, math.ceil(height / math.pi)) * math.pi
+        kpi = np.append(kpi[kpi < height], [height] if height > math.pi else [])
+        more_s = np.sqrt(kpi * (2.0 * height - kpi))
+        more = more_s, kpi / more_s, np.sqrt(2.0 * kpi * (height - kpi)) / more_s
     else:
-        phi = np.where(q >= 0.0, chord_angle - w, (chord_angle + math.pi) - w) % TWO_PI
-    residual = np.hypot(np.abs(q) - rho_t, _height(gamma, arc) - target.z)
-    ok = (residual < tol) & (arc > 0.0)
-    ok[-1] = True
-    gamma, phi, arc, residual = gamma[ok], phi[ok], arc[ok], residual[ok]
+        more = _winding_geodesics(rho, height)
+    s = np.append(s, more[0])
+    gamma = np.append(gamma, math.copysign(1.0, z) * more[1])
+    r = np.append(r, more[2])
 
-    if axis and abs(target.z) > 0.0:
-        # The vertical geodesic reaches every axis point directly.
-        gamma = np.append(gamma, math.copysign(1.0, target.z))
-        phi = np.append(phi, 0.0)
-        arc = np.append(arc, abs(target.z))
-        residual = np.append(residual, rho_t)
-
-    kept = _dedup(gamma, phi, arc, residual)
-    kept = kept[np.argsort(arc[kept], kind="stable")]
-
-    solutions = []
-    for i in kept:
-        g = float(gamma[i])
-        solutions.append(
-            ShootingSolution(
-                spec=GeodesicSpec(
-                    base=ORIGIN, r=math.sqrt(max(0.0, 1.0 - g * g)), phi=float(phi[i]), gamma=g
-                ),
-                s=float(arc[i]),
-                residual=float(residual[i]),
-                axis_family=axis,
-            )
+    w = gamma * s
+    sinc = _sinc(w)
+    if axis:
+        phi = np.zeros_like(s)
+    else:
+        # The chord points along phi + w, reversed where sinc(w) < 0.
+        phi = math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)
+    ex, ey, ez = origin_coordinates(r, phi, gamma, s)
+    miss = np.sqrt((ex - x) ** 2 + (ey - y) ** 2 + (ez - z) ** 2)
+    scale = max(1.0, math.sqrt(x * x + y * y + z * z))
+    failed = np.flatnonzero(~(miss + _EPS * scale <= tol * scale))
+    if failed.size:
+        i = failed[0]
+        raise ShootingConvergenceError(
+            f"cannot certify the geodesic of length {float(s[i])!r} to ({x}, {y}, {z}): "
+            f"endpoint miss {miss[i]:.3g} against tolerance {tol * scale:.3g}"
         )
-    return solutions
+    residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
+
+    return [
+        ShootingSolution(
+            spec=GeodesicSpec(
+                base=ORIGIN, r=float(r[i]), phi=float(phi[i]), gamma=float(gamma[i])
+            ),
+            s=float(s[i]),
+            residual=float(residual[i]),
+            axis_family=axis,
+        )
+        for i in np.argsort(s, kind="stable")
+    ]
 
 
 def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:

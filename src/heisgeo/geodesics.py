@@ -165,7 +165,7 @@ class GeodesicSpec:
             )
         phi = 0.0 if self.r == 0.0 else self.phi % TWO_PI
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "gamma", float(np.clip(self.gamma, -1.0, 1.0)))
+        object.__setattr__(self, "gamma", float(min(max(self.gamma, -1.0), 1.0)))
 
     @classmethod
     def from_direction(cls, gamma: float, phi: float = 0.0, base: HeisPoint = ORIGIN) -> "GeodesicSpec":

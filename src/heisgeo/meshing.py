@@ -271,15 +271,9 @@ def plane_exp_surface(
     )
 
 
-def clip_mesh_to_halfspace(
-    mesh: TriMesh, normal, keep_tol: float = 1e-12
-) -> TriMesh:
-    """Keep vertices with <v, normal> <= keep_tol and faces entirely kept.
-
-    The cut boundary is left open (no cap).
-    """
-    n = np.asarray(normal, dtype=float)
-    keep = mesh.vertices @ n <= keep_tol
+def _submesh(mesh: TriMesh, keep: np.ndarray) -> TriMesh:
+    """The vertices where keep is true, their scalar channels and the faces
+    entirely kept, reindexed."""
     index_map = -np.ones(mesh.n_vertices, dtype=np.int64)
     index_map[keep] = np.arange(int(keep.sum()))
     face_keep = keep[mesh.faces].all(axis=1)
@@ -288,6 +282,17 @@ def clip_mesh_to_halfspace(
         faces=index_map[mesh.faces[face_keep]],
         vertex_scalars={k: np.asarray(v)[keep] for k, v in mesh.vertex_scalars.items()},
     )
+
+
+def clip_mesh_to_halfspace(
+    mesh: TriMesh, normal, keep_tol: float = 1e-12
+) -> TriMesh:
+    """Keep vertices with <v, normal> <= keep_tol and faces entirely kept.
+
+    The cut boundary is left open (no cap).
+    """
+    n = np.asarray(normal, dtype=float)
+    return _submesh(mesh, mesh.vertices @ n <= keep_tol)
 
 
 def ball_cutaway_mesh(
@@ -315,16 +320,9 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     """
     defects = radius - riemannian_distance_many(mesh.vertices)
     keep = defects <= tol
-    index_map = -np.ones(mesh.n_vertices, dtype=np.int64)
-    index_map[keep] = np.arange(int(keep.sum()))
-    face_keep = keep[mesh.faces].all(axis=1)
-    scalars = {k: np.asarray(v)[keep] for k, v in mesh.vertex_scalars.items()}
-    scalars["distance_defect"] = defects[keep]
-    return TriMesh(
-        vertices=mesh.vertices[keep],
-        faces=index_map[mesh.faces[face_keep]],
-        vertex_scalars=scalars,
-    )
+    clipped = _submesh(mesh, keep)
+    clipped.vertex_scalars["distance_defect"] = defects[keep]
+    return clipped
 
 
 @dataclass(frozen=True)

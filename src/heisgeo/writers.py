@@ -1,4 +1,4 @@
-"""Deterministic file emission: OBJ, PLY, CSV and JSON-lines writers.
+"""Deterministic mesh files: OBJ and PLY writers.
 
 All numeric output is formatted with 17 significant decimal digits, which
 round-trips IEEE doubles exactly, and uses "\n" newlines regardless of
@@ -7,17 +7,12 @@ platform, so identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping, Sequence
-
 from .meshing import TriMesh
 
 __all__ = [
     "format_float",
     "write_obj",
     "write_ply",
-    "write_csv",
-    "write_jsonl",
 ]
 
 
@@ -64,21 +59,5 @@ def write_ply(mesh: TriMesh, path) -> None:
         lines.append(" ".join(parts))
     for f in mesh.faces:
         lines.append(f"3 {f[0]} {f[1]} {f[2]}")
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def write_csv(rows: Iterable[Sequence[float]], header: Sequence[str], path) -> None:
-    """Comma-separated numeric table with a header line."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def write_jsonl(records: Iterable[Mapping], path) -> None:
-    """One JSON object per line, keys in sorted order."""
-    lines = [json.dumps(dict(record), sort_keys=True) for record in records]
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

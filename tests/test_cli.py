@@ -62,15 +62,15 @@ class TestGeodesicCommand:
 
     def test_jsonl_format(self, capsys, tmp_path):
         out = tmp_path / "line.jsonl"
-        code, _, _ = run(
-            ["geodesic", "--gamma", "0", "--smax", "1", "--n", "2",
-             "--format", "jsonl", "--out", str(out)],
-            capsys,
-        )
+        argv = ["geodesic", "--gamma", "0", "--smax", "1", "--n", "2", "--format", "jsonl"]
+        code, _, _ = run([*argv, "--out", str(out)], capsys)
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 3
         assert set(records[0]) == {"s", "x", "y", "z", "alpha", "beta", "gamma"}
+        # stdout gets the same bytes as the file.
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0 and stdout.encode() == out.read_bytes()
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(["geodesic", "--gamma", "0", "--smax", "1", "--n", "2"], capsys)

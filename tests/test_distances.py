@@ -12,9 +12,6 @@ from heisgeo.core import ORIGIN, FrameVector, HeisPoint, group_mul
 from heisgeo.distances import (
     ShootingConvergenceError,
     TargetUnreachableError,
-    _dedup,
-    _shoot_jacobian,
-    _shoot_residuals,
     brute_force_distance,
     cygan_distance,
     cygan_scaling_check,
@@ -23,7 +20,7 @@ from heisgeo.distances import (
     riemannian_distance_many,
     shoot_candidates,
 )
-from heisgeo.geodesics import exp_map
+from heisgeo.geodesics import exp_map, origin_coordinates
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,9 +103,6 @@ class TestShooting:
         assert all(sol.axis_family for sol in sols)
         assert s_values == sorted(s_values)
 
-    # Near the origin one seed can reach the straight-line root only in the
-    # last Newton iterations; unpolished, it survives dedup as a second,
-    # less accurate copy of the same geodesic.
     @pytest.mark.parametrize(
         "target",
         [
@@ -159,112 +153,6 @@ class TestShooting:
                 d_phi = min(d_phi, TWO_PI - d_phi)
                 gap = abs(a.spec.gamma - b.spec.gamma) + d_phi + abs(a.s - b.s)
                 assert gap >= 1e-6
-
-
-class TestShootingJacobian:
-    @staticmethod
-    def samples():
-        rng = np.random.default_rng(48)
-        theta = rng.uniform(-3.2, 3.2, 300)
-        s = np.exp(rng.uniform(math.log(1e-3), math.log(150.0), 300))
-        special = [
-            (0.0, 1e-3),  # w = 0 exactly
-            (0.0, 150.0),
-            (1e-4, 2.0),  # series branch of the defect, |w| < 0.5
-            (-0.2, 2.0),
-            (0.01, 40.0),
-            (math.pi / 2, 1.0),
-            (-math.pi / 2, 7.5),
-            (math.pi / 2, 150.0),
-            (math.pi - 1e-3, 3.0),  # theta near pi: c = -1, small gamma
-            (math.pi, 100.0),
-            (-3.2, 150.0),
-            (3.2, 1e-3),
-        ]
-        theta = np.concatenate([theta, [t for t, _ in special]])
-        s = np.concatenate([s, [a for _, a in special]])
-        return theta, s
-
-    @pytest.mark.parametrize("rho_t, z_t, sign", [(0.7, 0.3, 1.0), (2.5, -4.0, -1.0)])
-    def test_matches_central_differences(self, rho_t, z_t, sign):
-        theta, s = self.samples()
-        f1, f2, j11, j12, j21, j22 = _shoot_jacobian(theta, s, rho_t, z_t, sign)
-        g1, g2 = _shoot_residuals(theta, s, rho_t, z_t, sign)
-        np.testing.assert_allclose(f1, g1, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(f2, g2, rtol=1e-12, atol=1e-12)
-
-        # theta-derivatives grow with s, so the theta step shrinks with it.
-        h_t = 1e-5 / np.maximum(1.0, s)
-        h_s = 1e-5 * np.maximum(1.0, s)
-        p1, p2 = _shoot_residuals(theta + h_t, s, rho_t, z_t, sign)
-        m1, m2 = _shoot_residuals(theta - h_t, s, rho_t, z_t, sign)
-        d11, d21 = (p1 - m1) / (2.0 * h_t), (p2 - m2) / (2.0 * h_t)
-        p1, p2 = _shoot_residuals(theta, s + h_s, rho_t, z_t, sign)
-        m1, m2 = _shoot_residuals(theta, s - h_s, rho_t, z_t, sign)
-        d12, d22 = (p1 - m1) / (2.0 * h_s), (p2 - m2) / (2.0 * h_s)
-
-        # Relative to the largest entry of each row, the scale at which
-        # Newton's step uses it.
-        row1 = np.maximum(np.abs(d11), np.abs(d12))
-        row2 = np.maximum(np.abs(d21), np.abs(d22))
-        for analytic, differenced, row in (
-            (j11, d11, row1),
-            (j12, d12, row1),
-            (j21, d21, row2),
-            (j22, d22, row2),
-        ):
-            assert np.all(np.abs(analytic - differenced) <= 1e-6 * row)
-
-
-def _greedy_dedup_reference(raw):
-    """Scalar greedy dedup over (gamma, phi, s, residual) tuples."""
-    raw = sorted(raw, key=lambda c: c[3])
-    kept = []
-    for cand in raw:
-        for other in kept:
-            d_phi = abs(cand[1] - other[1])
-            d_phi = min(d_phi, TWO_PI - d_phi)
-            if abs(cand[0] - other[0]) + d_phi + abs(cand[2] - other[2]) < 1e-6:
-                break
-        else:
-            kept.append(cand)
-    return kept
-
-
-# Clusters of candidates whose members sit within a few dedup tolerances of
-# a center, so that both near and distinct pairs occur; phi centers include
-# both sides of the 0 / 2pi seam and residuals are drawn from a small set so
-# that ties are common.
-_offset = st.floats(-2e-6, 2e-6, allow_nan=False)
-_cluster = st.tuples(
-    st.floats(-1.0, 1.0, allow_nan=False),
-    st.one_of(st.just(0.0), st.just(TWO_PI - 3e-7), st.floats(0.0, TWO_PI, exclude_max=True)),
-    st.floats(1e-3, 100.0, allow_nan=False),
-    st.lists(
-        st.tuples(
-            _offset,
-            _offset,
-            _offset,
-            st.sampled_from([0.0, 1e-12, 3e-11, 1e-10, 4e-9, 9.9e-9]),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
-)
-
-
-class TestDedup:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_cluster, min_size=1, max_size=6))
-    def test_matches_scalar_greedy_loop(self, clusters):
-        raw = []
-        for gamma, phi, s, members in clusters:
-            for dg, dp, ds, res in members:
-                raw.append((gamma + dg, (phi + dp) % TWO_PI, s + ds, res))
-        gamma, phi, s, res = (np.array(col) for col in zip(*raw))
-        kept = _dedup(gamma, phi, s, res)
-        got = [(gamma[i], phi[i], s[i], res[i]) for i in kept]
-        assert got == _greedy_dedup_reference(raw)
 
 
 class TestRiemannianDistance:
@@ -504,7 +392,71 @@ class TestCutTimeProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda t: t != (0.0, 0.0, 0.0)))
     def test_agrees_with_enumeration(self, target):
-        # No geodesic the multistart enumeration finds is shorter.
+        # No geodesic the enumeration finds is shorter.
         target = HeisPoint(*target)
         d = riemannian_distance(ORIGIN, target)
         assert shoot_candidates(target)[0].s == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+
+def _dense_count(rho, z, points=20001):
+    """Geodesics to (rho, 0, z) counted as sign changes of F(w) - |z| on a
+    dense grid of each window k pi < w < (k+1) pi, clustered at both ends."""
+    u = np.linspace(0.0, 1.0, points)[1:-1]
+    fraction = 0.5 * (1.0 - np.cos(np.pi * u))
+    count = 0
+    for k in range(int(abs(z) // math.pi) + 1):
+        w = (k + fraction) * math.pi
+        sin_w = np.sin(w)
+        excess = w + rho**2 * (w - sin_w * np.cos(w)) / (2.0 * sin_w**2) - abs(z)
+        count += int(np.count_nonzero(np.diff(np.sign(excess))))
+    return count
+
+
+@st.composite
+def _enumeration_targets(draw):
+    """|z| and the planar distance log-uniform in [1e-3, 1e3]; a third of
+    the targets on the z-axis and a third next to it."""
+    z = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["generic", "axis", "near-axis"]))
+    if kind == "axis":
+        return 0.0, 0.0, z
+    if kind == "near-axis":
+        rho = abs(z) * 10.0 ** draw(st.floats(-12.0, -3.0))
+    else:
+        rho = 10.0 ** draw(st.floats(-3.0, 3.0))
+    angle = draw(st.floats(0.0, TWO_PI))
+    return rho * math.cos(angle), rho * math.sin(angle), z
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("z", [-127.76, 246.33])
+    def test_axis_counts(self, z):
+        # One circle per return to the axis at w = k pi < |z|, and the
+        # vertical line.
+        sols = shoot_candidates(HeisPoint(0, 0, z))
+        assert len(sols) == math.ceil(abs(z) / math.pi)
+        assert abs(sols[-1].spec.gamma) == 1.0 and sols[-1].s == abs(z)
+
+    @pytest.mark.parametrize(
+        "rho, z, count", [(0.5, 20.0, 11), (1e-3, 40.0, 25), (0.3, 200.0, 121)]
+    )
+    def test_counts_match_dense_scan(self, rho, z, count):
+        assert _dense_count(rho, z) == count
+        assert len(shoot_candidates(HeisPoint(rho, 0, z))) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(_enumeration_targets())
+    def test_every_candidate_is_certified(self, target):
+        sols = shoot_candidates(HeisPoint(*target))
+        s = np.array([sol.s for sol in sols])
+        ex, ey, ez = origin_coordinates(
+            [sol.spec.r for sol in sols],
+            [sol.spec.phi for sol in sols],
+            [sol.spec.gamma for sol in sols],
+            s,
+        )
+        miss = np.sqrt((ex - target[0]) ** 2 + (ey - target[1]) ** 2 + (ez - target[2]) ** 2)
+        scale = max(1.0, math.sqrt(sum(c * c for c in target)))
+        assert np.all(miss <= (1e-8 + np.finfo(float).eps) * scale)
+        assert np.all(np.diff(s) > 0.0)
+        assert s[0] == riemannian_distance(ORIGIN, HeisPoint(*target))
