@@ -68,7 +68,6 @@ __all__ = [
     "integrate_geodesic",
     "integrate_geodesic_batch",
     "origin_coordinates",
-    "origin_velocity",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -126,16 +125,6 @@ def origin_coordinates(r, phi, gamma, s):
     for a in (x, y, z):
         out.append(a if a.shape == full else np.ascontiguousarray(np.broadcast_to(a, full)))
     return tuple(out)
-
-
-def origin_velocity(r, phi, gamma, s):
-    """Frame components (alpha, beta, gamma) of the velocity, vectorized."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    s = np.asarray(s, dtype=float)
-    angle = 2.0 * gamma * s + phi
-    return r * np.cos(angle), r * np.sin(angle), np.broadcast_to(gamma, angle.shape).copy()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ it the image over-covers the metric sphere and develops the singular
 points that the close-up meshes amplify.  An optional clip against the
 Riemannian distance makes that discrepancy measurable.
 
+Every surface here is the exp-image of a parameter grid (gamma x phi for
+spheres and close-ups, s x theta for the plane) and is meshed by one
+routine, `_grid_mesh`.  Vertices are the grid points row by row, except
+that a collapsed end row (a pole, or the plane's apex at s = 0) keeps only
+its first vertex.  Each grid cell is split into two triangles; at a
+collapsed row the triangles that repeat a vertex are dropped, and the rest
+form the fan around the pole.  The phi seam wraps; a partial theta range
+does not.
+
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
 drops below a tenth of the median edge length.  Pairs adjacent in the
@@ -118,64 +127,52 @@ class SphereGrid:
 DEFAULT_DETECTION_GRID = (96, 192)
 
 
-def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
-    """Mesh the exp-image of the rows x full-circle parameter grid.
+def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMesh:
+    """Mesh the image of an (n_rows, n_cols) parameter grid.
 
-    Rows with |gamma| exactly 1 collapse to a single pole vertex and are
-    connected by triangle fans; ring pairs become split quads.  Vertex
-    layout: collapsed rows contribute one vertex, rings contribute n_phi
-    vertices ordered by increasing phi, rows in the given order.
+    points has shape (n_rows, n_cols, 3) and every scalar channel broadcasts
+    to (n_rows, n_cols).  Vertices are the grid points in row-major order,
+    except that a collapsed end row (collapse = (first_row, last_row)) keeps
+    only its column-0 vertex.  Cell (j, i) becomes the triangles
+    [lo_i, lo_next, hi_next] and [lo_i, hi_next, hi_i], with lo row j, hi
+    row j + 1 and next = i + 1 modulo n_cols; without wrap the last column
+    starts no cell.  Faces run row by row, column by column, first triangle
+    first.  Triangles that repeat an index are dropped, which leaves one fan
+    per collapsed row; a last-row fan is rotated to start at its pole.
+    """
+    n_rows, n_cols = points.shape[:2]
+    keep = np.ones((n_rows, n_cols), dtype=bool)
+    keep[0, 1:] = not collapse[0]
+    keep[-1, 1:] = not collapse[1]
+    index = np.cumsum(keep).reshape(keep.shape) - 1
+    index = np.where(keep, index, index[:, :1])
+    cols = np.arange(n_cols if wrap else n_cols - 1)
+    nxt = (cols + 1) % n_cols
+    lo, hi = index[:-1], index[1:]
+    first = np.stack([lo[:, cols], lo[:, nxt], hi[:, nxt]], axis=-1)
+    second = np.stack([lo[:, cols], hi[:, nxt], hi[:, cols]], axis=-1)
+    if collapse[1]:
+        first[-1] = np.roll(first[-1], 1, axis=-1)
+    faces = np.stack([first, second], axis=2).reshape(-1, 3)
+    a, b, c = faces.T
+    return TriMesh(
+        vertices=points[keep],
+        faces=faces[(a != b) & (b != c) & (a != c)],
+        vertex_scalars={k: np.broadcast_to(v, keep.shape)[keep] for k, v in scalars.items()},
+    )
+
+
+def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
+    """Mesh the exp-image of the gamma rows x full phi circle grid.
+
+    An end row with |gamma| = 1 collapses to its pole vertex.
     """
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    vertices = []
-    scalars_gamma = []
-    scalars_phi = []
-    row_start = []
-    row_is_pole = []
-    for g in gamma_rows:
-        row_start.append(len(vertices))
-        if abs(g) == 1.0:
-            x, y, z = origin_coordinates(0.0, 0.0, g, radius)
-            vertices.append([float(x), float(y), float(z)])
-            scalars_gamma.append(g)
-            scalars_phi.append(0.0)
-            row_is_pole.append(True)
-        else:
-            r = math.sqrt(max(0.0, 1.0 - g * g))
-            x, y, z = origin_coordinates(r, phis, g, radius)
-            vertices.extend(np.column_stack([x, y, z]).tolist())
-            scalars_gamma.extend([g] * n_phi)
-            scalars_phi.extend(phis.tolist())
-            row_is_pole.append(False)
-
-    faces = []
-    for j in range(len(gamma_rows) - 1):
-        lo, hi = row_start[j], row_start[j + 1]
-        lo_pole, hi_pole = row_is_pole[j], row_is_pole[j + 1]
-        if lo_pole and hi_pole:
-            continue
-        if lo_pole:
-            for i in range(n_phi):
-                nxt = (i + 1) % n_phi
-                faces.append([lo, hi + nxt, hi + i])
-        elif hi_pole:
-            for i in range(n_phi):
-                nxt = (i + 1) % n_phi
-                faces.append([hi, lo + i, lo + nxt])
-        else:
-            for i in range(n_phi):
-                nxt = (i + 1) % n_phi
-                faces.append([lo + i, lo + nxt, hi + nxt])
-                faces.append([lo + i, hi + nxt, hi + i])
-
-    return TriMesh(
-        vertices=np.array(vertices),
-        faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
-        vertex_scalars={
-            "gamma": np.array(scalars_gamma),
-            "phi": np.array(scalars_phi),
-        },
-    )
+    gammas = gamma_rows[:, None]
+    r = np.sqrt(np.maximum(0.0, 1.0 - gammas * gammas))
+    points = np.stack(origin_coordinates(r, phis, gammas, radius), axis=-1)
+    collapse = tuple(np.abs(gamma_rows[[0, -1]]) == 1.0)
+    return _grid_mesh(points, {"gamma": gammas, "phi": phis}, collapse, wrap=True)
 
 
 def sphere_exp_mesh(grid: SphereGrid) -> TriMesh:
@@ -213,7 +210,7 @@ def plane_exp_surface(
 
     full_circle = abs((theta_hi - theta_lo) - TWO_PI) < 1e-12
     thetas = np.linspace(theta_lo, theta_hi, n_theta, endpoint=not full_circle)
-    s_values = np.linspace(s_lo, s_hi, n_s)
+    s_values = np.linspace(s_lo, s_hi, n_s)[:, None]
 
     gammas = np.sin(thetas)
     planar = np.cos(thetas)
@@ -228,47 +225,18 @@ def plane_exp_surface(
     r = np.abs(planar)
     phi = np.where(planar >= 0.0, 0.0, math.pi)
 
-    vertices = []
-    scal_theta = []
-    scal_s = []
-    col_start = []
-    col_is_apex = []
-    for s in s_values:
-        col_start.append(len(vertices))
-        if s == 0.0:
-            vertices.append([0.0, 0.0, 0.0])
-            scal_theta.append(0.0)
-            scal_s.append(0.0)
-            col_is_apex.append(True)
-        else:
-            x, y, z = origin_coordinates(r, phi, gammas, s)
-            vertices.extend(np.column_stack([x, y, z]).tolist())
-            scal_theta.extend(thetas.tolist())
-            scal_s.extend([s] * n_theta)
-            col_is_apex.append(False)
-
-    wrap = n_theta if full_circle else n_theta - 1
-    faces = []
-    for j in range(n_s - 1):
-        lo, hi = col_start[j], col_start[j + 1]
-        if col_is_apex[j]:
-            for i in range(wrap):
-                nxt = (i + 1) % n_theta
-                faces.append([lo, hi + i, hi + nxt])
-        else:
-            for i in range(wrap):
-                nxt = (i + 1) % n_theta
-                faces.append([lo + i, lo + nxt, hi + nxt])
-                faces.append([lo + i, hi + nxt, hi + i])
-
-    return TriMesh(
-        vertices=np.array(vertices),
-        faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
-        vertex_scalars={
-            "theta": np.array(scal_theta),
-            "s": np.array(scal_s),
-        },
-    )
+    points = np.stack(origin_coordinates(r, phi, gammas, s_values), axis=-1)
+    apex = s_lo == 0.0
+    mesh = _grid_mesh(points, {"theta": thetas, "s": s_values}, (apex, False), full_circle)
+    if apex:
+        # One origin vertex with theta = s = 0, whatever the theta range.
+        mesh.vertices[0] = 0.0
+        mesh.vertex_scalars["theta"][0] = 0.0
+        mesh.vertex_scalars["s"][0] = 0.0
+        # Apex fan wound against the quads, kept for fig1's bytes (CHANGES.md FOUND).
+        fan = mesh.faces[:, 0] == 0
+        mesh.faces[fan] = mesh.faces[fan][:, [0, 2, 1]]
+    return mesh
 
 
 def _submesh(mesh: TriMesh, keep: np.ndarray) -> TriMesh:
@@ -336,21 +304,14 @@ class ProximityEvent:
     planar_radius_mid: float
 
 
-def _sphere_rows_cols(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter-grid row and column of every sphere vertex (pole col = -1)."""
-    rows = [0]
-    cols = [-1]
-    for j in range(1, grid.n_gamma - 1):
-        rows.extend([j] * grid.n_phi)
-        cols.extend(range(grid.n_phi))
-    rows.append(grid.n_gamma - 1)
-    cols.append(-1)
-    return np.array(rows), np.array(cols)
-
-
 _PROXIMITY_RATIO = 0.1
 _PARAM_ADJACENCY = 2
 _POLE_CLOSURE_RATIO = 0.15
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Norms of the rows of d, each equal to np.linalg.norm of the row alone."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
@@ -363,7 +324,6 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     rejects the legitimate closing of rings near the poles.
     """
     mesh = sphere_exp_mesh(grid)
-    rows, cols = _sphere_rows_cols(grid)
     edges = mesh.edges()
     edge_lengths = np.linalg.norm(
         mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
@@ -375,41 +335,33 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     if pairs.size == 0:
         return []
 
-    south = mesh.vertices[0]
-    north = mesh.vertices[-1]
+    # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
+    # ring formula also puts each pole one ring beyond its neighbor ring.
+    ring, col = np.divmod(pairs - 1, grid.n_phi)
+    d_col = np.abs(col[:, 0] - col[:, 1])
+    d_col = np.minimum(d_col, grid.n_phi - d_col)
+    at_pole = ((pairs == 0) | (pairs == mesh.n_vertices - 1)).any(axis=1)
+    param_close = (np.abs(ring[:, 0] - ring[:, 1]) <= _PARAM_ADJACENCY) & (
+        at_pole | (d_col <= _PARAM_ADJACENCY)
+    )
 
-    events = []
-    for a, b in pairs:
-        d_row = abs(int(rows[a]) - int(rows[b]))
-        if cols[a] < 0 or cols[b] < 0:
-            param_close = d_row <= _PARAM_ADJACENCY
-        else:
-            d_col = abs(int(cols[a]) - int(cols[b]))
-            d_col = min(d_col, grid.n_phi - d_col)
-            param_close = d_row <= _PARAM_ADJACENCY and d_col <= _PARAM_ADJACENCY
-        if param_close:
-            continue
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        separation = float(np.linalg.norm(va - vb))
-        pole_distance = min(
-            np.linalg.norm(va - south),
-            np.linalg.norm(va - north),
-            np.linalg.norm(vb - south),
-            np.linalg.norm(vb - north),
+    va, vb = mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]
+    separation = _row_norms(va - vb)
+    pole_distance = np.min(
+        [_row_norms(v - pole) for v in (va, vb) for pole in mesh.vertices[[0, -1]]], axis=0
+    )
+    hit = ~param_close & (separation < _POLE_CLOSURE_RATIO * pole_distance)
+
+    a, b = pairs[hit].T
+    gammas = mesh.vertex_scalars["gamma"]
+    gamma_mid = 0.5 * (gammas[a] + gammas[b])
+    mid = 0.5 * (va[hit] + vb[hit])
+    events = [
+        ProximityEvent(i, j, sep, g, math.hypot(x, y))
+        for i, j, sep, g, (x, y, _) in zip(
+            a.tolist(), b.tolist(), separation[hit].tolist(), gamma_mid.tolist(), mid.tolist()
         )
-        if separation >= _POLE_CLOSURE_RATIO * pole_distance:
-            continue
-        mid = 0.5 * (va + vb)
-        gammas = mesh.vertex_scalars["gamma"]
-        events.append(
-            ProximityEvent(
-                vertex_a=int(a),
-                vertex_b=int(b),
-                separation=separation,
-                gamma_mid=float(0.5 * (gammas[a] + gammas[b])),
-                planar_radius_mid=float(math.hypot(mid[0], mid[1])),
-            )
-        )
+    ]
     events.sort(
         key=lambda e: (e.planar_radius_mid, -abs(e.gamma_mid), e.vertex_a, e.vertex_b)
     )

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisgeo.core import ORIGIN, FrameVector, HeisPoint, group_mul
@@ -364,12 +364,18 @@ class TestCutTimeProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(_targets(), st.floats(0.0, TWO_PI))
+    @example((2.2250738585e-313, 0.0, 0.0), 5.75)
     def test_reflection_and_rotation_invariance(self, target, turn):
+        # Rotation invariance in its exact form: d depends on (x, y) only
+        # through rho = hypot(x, y).  Rotating a subnormal point changes its
+        # rho, so the rotated point is checked against its own rho.
         x, y, z = target
         d = _distance(x, y, z)
         assert _distance(x, y, -z) == pytest.approx(d, rel=1e-14, abs=0.0)
         c, s = math.cos(turn), math.sin(turn)
-        assert _distance(c * x - s * y, s * x + c * y, z) == pytest.approx(d, rel=1e-12, abs=0.0)
+        for u, v in ((x, y), (c * x - s * y, s * x + c * y)):
+            on_axis = _distance(math.hypot(u, v), 0.0, z)
+            assert _distance(u, v, z) == pytest.approx(on_axis, rel=1e-12, abs=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e4, 1e4, allow_nan=False).filter(lambda v: v != 0.0))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from heisgeo.core import ORIGIN, HeisPoint
 from heisgeo.distances import riemannian_distance
@@ -12,6 +13,7 @@ from heisgeo.meshing import (
     DEFAULT_DETECTION_GRID,
     MeshError,
     NoSingularityError,
+    ProximityEvent,
     SphereGrid,
     TriMesh,
     ball_cutaway_mesh,
@@ -228,6 +230,139 @@ class TestPlaneSurface:
             plane_exp_surface(s_range=(2.0, 1.0))
         with pytest.raises(ValueError):
             plane_exp_surface(resolution=(2, 5))
+
+
+class TestOrientation:
+    """Consistently wound meshes use each directed edge at most once."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sphere_exp_mesh(SphereGrid(3, 3, 1.0)),
+            lambda: sphere_exp_mesh(SphereGrid(16, 13, 2.0)),
+            lambda: singular_point_closeup(5.0),
+            lambda: singular_point_closeup(5.0, window=0.9),
+            lambda: plane_exp_surface(s_range=(1.0, 6.0), resolution=(24, 9)),
+            lambda: plane_exp_surface((0.5, 2.5), s_range=(1.0, 6.0), resolution=(24, 9)),
+        ],
+        ids=[
+            "sphere3x3",
+            "sphere16x13",
+            "closeup",
+            "closeup_to_pole",
+            "plane",
+            "plane_partial",
+        ],
+    )
+    def test_no_repeated_directed_edge(self, build):
+        mesh = build()
+        mesh.validate()
+        f = mesh.faces
+        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        _, counts = np.unique(directed, axis=0, return_counts=True)
+        assert counts.max() == 1
+
+    def test_closeup_to_pole_collapses(self):
+        mesh = singular_point_closeup(5.0, window=0.9)
+        assert mesh.vertex_scalars["gamma"][0] == -1.0
+        assert mesh.vertex_scalars["gamma"][1] > -1.0
+
+
+def _loop_faces(collapsed, n_cols, n_cells, apex_out=False):
+    """Faces of the row-by-row loops the grid mesher replaced.
+
+    collapsed flags each row that is a single vertex; apex_out winds a
+    first-row fan the way the plane surface does.
+    """
+    starts = np.cumsum([0] + [1 if c else n_cols for c in collapsed])
+    faces = []
+    for j in range(len(collapsed) - 1):
+        lo, hi = starts[j], starts[j + 1]
+        for i in range(n_cells):
+            nxt = (i + 1) % n_cols
+            if collapsed[j] and collapsed[j + 1]:
+                continue
+            if collapsed[j]:
+                faces.append([lo, hi + i, hi + nxt] if apex_out else [lo, hi + nxt, hi + i])
+            elif collapsed[j + 1]:
+                faces.append([hi, lo + i, lo + nxt])
+            else:
+                faces.extend([[lo + i, lo + nxt, hi + nxt], [lo + i, hi + nxt, hi + i]])
+    return np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+def _loop_events(grid):
+    """Proximity events filtered pair by pair, as before vectorization."""
+    mesh = sphere_exp_mesh(grid)
+    n_phi, n_gamma = grid.n_phi, grid.n_gamma
+    rows = [0] + [j for j in range(1, n_gamma - 1) for _ in range(n_phi)] + [n_gamma - 1]
+    cols = [-1] + list(range(n_phi)) * (n_gamma - 2) + [-1]
+    e = mesh.edges()
+    lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+    tree = cKDTree(mesh.vertices)
+    pairs = tree.query_pairs(r=0.1 * float(np.median(lengths)), output_type="ndarray")
+    south, north = mesh.vertices[0], mesh.vertices[-1]
+    gammas = mesh.vertex_scalars["gamma"]
+    events = []
+    for a, b in pairs:
+        d_row = abs(rows[a] - rows[b])
+        d_col = abs(cols[a] - cols[b])
+        pole = cols[a] < 0 or cols[b] < 0
+        if d_row <= 2 and (pole or min(d_col, n_phi - d_col) <= 2):
+            continue
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        separation = float(np.linalg.norm(va - vb))
+        pole_distance = min(np.linalg.norm(v - p) for v in (va, vb) for p in (south, north))
+        if separation >= 0.15 * pole_distance:
+            continue
+        mid = 0.5 * (va + vb)
+        gamma_mid = float(0.5 * (gammas[a] + gammas[b]))
+        planar_mid = math.hypot(mid[0], mid[1])
+        events.append(ProximityEvent(int(a), int(b), separation, gamma_mid, planar_mid))
+    events.sort(
+        key=lambda e: (e.planar_radius_mid, -abs(e.gamma_mid), e.vertex_a, e.vertex_b)
+    )
+    return events
+
+
+class TestLoopReference:
+    """The vectorized mesher and detector against the loops they replaced."""
+
+    @pytest.mark.parametrize(
+        "build, collapsed, n_cols, n_cells, apex_out",
+        [
+            (lambda: sphere_exp_mesh(SphereGrid(3, 3, 1.0)), [1, 0, 1], 3, 3, False),
+            (lambda: sphere_exp_mesh(SphereGrid(7, 5, 1.0)), [1, 0, 0, 0, 1], 7, 7, False),
+            (lambda: singular_point_closeup(5.0, resolution=(6, 4)), [0] * 4, 6, 6, False),
+            (
+                lambda: singular_point_closeup(5.0, window=0.9, resolution=(6, 4)),
+                [1, 0, 0, 0],
+                6,
+                6,
+                False,
+            ),
+            (lambda: plane_exp_surface(resolution=(5, 4)), [1, 0, 0, 0], 5, 5, True),
+            (lambda: plane_exp_surface((0.5, 2.5), (0, 3), (5, 4)), [1, 0, 0, 0], 5, 4, True),
+            (lambda: plane_exp_surface((0.5, 2.5), (1, 3), (5, 4)), [0] * 4, 5, 4, False),
+        ],
+        ids=[
+            "sphere3x3",
+            "sphere7x5",
+            "closeup",
+            "closeup_to_pole",
+            "plane",
+            "plane_partial_apex",
+            "plane_partial",
+        ],
+    )
+    def test_faces(self, build, collapsed, n_cols, n_cells, apex_out):
+        expected = _loop_faces(collapsed, n_cols, n_cells, apex_out)
+        np.testing.assert_array_equal(build().faces, expected)
+
+    @pytest.mark.parametrize("radius", [5.0, 7.5, 20.0])
+    def test_events(self, radius):
+        grid = SphereGrid(48, 96, radius)
+        assert sphere_proximity_events(grid) == _loop_events(grid)
 
 
 class TestCutaway:
