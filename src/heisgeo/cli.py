@@ -14,6 +14,7 @@ radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -75,8 +76,13 @@ def _parse_vector(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name.
+
+    Built once per process and shared by every call of main, which leaves
+    the defaults as it found them.
+    """
     parser = argparse.ArgumentParser(
         prog="heisgeo",
         description="Geodesics, distances and figure meshes of the Heisenberg group "
@@ -407,9 +413,15 @@ def main(argv: list[str] | None = None) -> int:
         # The config becomes the command's defaults and the line is parsed
         # again, so argparse decides what the line gave in any spelling
         # (--radius 2, --radius=2, --rad 2); string values pass through the
-        # option's type, as on the line.
-        commands[args.command].set_defaults(**defaults)
-        args = parser.parse_args(argv)
+        # option's type, as on the line.  The parser is shared across calls,
+        # so its own defaults are put back afterwards.
+        command = commands[args.command]
+        saved = {dest: command.get_default(dest) for dest in defaults}
+        command.set_defaults(**defaults)
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            command.set_defaults(**saved)
     for dest in _REQUIRED.get(args.command, ()):
         if getattr(args, dest) is None:
             flag = "--" + dest.replace("_", "-")

@@ -359,11 +359,17 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
 
 
 def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
-    """Every geodesic from the origin to target, by ascending arc length.
+    """Every geodesic from the origin to target, by non-decreasing arc length.
 
     The first entry is the certified cut-time solution (window 0), the
-    shortest geodesic.  Off the z-axis each window k >= 1 adds the roots of
-    G_k (module docstring), so a target lists about 2 |z| / pi geodesics.
+    shortest geodesic; the sort is stable, so it stays first on a tie.  Ties
+    happen just off the z-axis (planar distance a few times _AXIS_TOL, |z|
+    in the hundreds or more): the cut-time geodesic (w just below pi) and
+    the first root of window 1 (w just above pi) then differ in length by
+    less than the rounding of s, and two lengths come out equal.
+
+    Off the z-axis each window k >= 1 adds the roots of G_k (module
+    docstring), so a target lists about 2 |z| / pi geodesics.
     On the axis (planar distance below _AXIS_TOL) the geodesics returning
     to it form circles, one representative each (phi = 0, axis_family):
     w = k pi with s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and

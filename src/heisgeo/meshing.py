@@ -98,12 +98,18 @@ class TriMesh:
                 raise MeshError(f"scalar channel {name!r} length mismatch")
 
     def edges(self) -> np.ndarray:
-        """Unique undirected edges referenced by the faces."""
+        """Unique undirected edges referenced by the faces.
+
+        Sorted `(n, 2)` rows `a < b`, in lexicographic order.  Each edge is
+        keyed as the single integer `a * n_vertices + b`, so one 1-D
+        `np.unique` stands in for the much slower row-wise `axis=0` form.
+        """
         e = np.concatenate(
             [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
         )
         e.sort(axis=1)
-        return np.unique(e, axis=0)
+        keys = np.unique(e[:, 0] * self.n_vertices + e[:, 1])
+        return np.stack(np.divmod(keys, self.n_vertices), axis=1)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + self.n_faces

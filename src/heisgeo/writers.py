@@ -3,9 +3,19 @@
 All numeric output is formatted with 17 significant decimal digits, which
 round-trips IEEE doubles exactly, and uses "\n" newlines regardless of
 platform, so identical inputs always produce byte-identical files.
+
+Each file body is formatted in one `%` operation: a row template such as
+`"v %.17g %.17g %.17g\n"` repeated once per row, applied to the values as
+Python floats (`array.ravel().tolist()`).  `'%.17g' % x` and
+`format(x, '.17g')` (`format_float`) go through the same float-to-string
+conversion of the interpreter, so the batched text equals formatting value
+by value, including -0.0, subnormals, inf and nan, at a fraction of the
+per-call cost.  Face indices are int64 and formatted with `%d`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .meshing import TriMesh
 
@@ -21,16 +31,20 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _rows(template: str, table: np.ndarray) -> str:
+    """`template` applied to each row of a 2-D table, in one `%` operation."""
+    return (template * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_obj(mesh: TriMesh, path) -> None:
     """Wavefront OBJ: `v x y z` lines followed by 1-based `f i j k` lines."""
     mesh.validate()
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {format_float(v[0])} {format_float(v[1])} {format_float(v[2])}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    body = _rows("v %.17g %.17g %.17g\n", mesh.vertices) + _rows(
+        "f %d %d %d\n", mesh.faces + 1
+    )
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        # An empty mesh is written as a single newline, the file of zero lines.
+        handle.write(body or "\n")
 
 
 def write_ply(mesh: TriMesh, path) -> None:
@@ -51,13 +65,9 @@ def write_ply(mesh: TriMesh, path) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    lines = list(header)
-    columns = [mesh.vertex_scalars[name] for name in scalar_names]
-    for idx, v in enumerate(mesh.vertices):
-        parts = [format_float(v[0]), format_float(v[1]), format_float(v[2])]
-        parts += [format_float(col[idx]) for col in columns]
-        lines.append(" ".join(parts))
-    for f in mesh.faces:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+    columns = [np.asarray(mesh.vertex_scalars[name], dtype=float) for name in scalar_names]
+    table = np.column_stack([mesh.vertices, *columns])
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(header) + "\n")
+        handle.write(_rows(row, table) + _rows("3 %d %d %d\n", mesh.faces))

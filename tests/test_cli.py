@@ -335,6 +335,21 @@ class TestConfigFile:
         )
         assert code == 2 and "'p'" in err and out == ""
 
+    def test_config_does_not_outlive_its_call(self, capsys, tmp_path):
+        # The parser is built once per process; a config's defaults must
+        # not leak into the next call.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radius": 3}))
+        out = tmp_path / "x.obj"
+        code, _, _ = run(
+            ["sphere", "--config", str(cfg), "--nphi", "8", "--ngamma", "6",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        code, _, err = run(["sphere", "--out", str(out)], capsys)
+        assert code == 2 and "--radius is required" in err
+
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(
             ["sphere", "--radius", "1", "--config", str(tmp_path / "nope.json"),

@@ -1,0 +1,144 @@
+"""Mesh files and edges against the value-by-value reference forms.
+
+The writers format each file body in one `%` operation; the references
+below are the per-value loops they replaced, and must give the same bytes.
+`TriMesh.edges()` keys each edge as one integer; the reference is the
+row-wise `np.unique(axis=0)`.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from heisgeo.meshing import (
+    SphereGrid,
+    TriMesh,
+    ball_cutaway_mesh,
+    clip_sphere_to_metric,
+    plane_exp_surface,
+    singular_point_closeup,
+    sphere_exp_mesh,
+)
+from heisgeo.writers import format_float, write_obj, write_ply
+
+
+def _loop_obj(mesh, path):
+    mesh.validate()
+    lines = []
+    for v in mesh.vertices:
+        lines.append(f"v {format_float(v[0])} {format_float(v[1])} {format_float(v[2])}")
+    for f in mesh.faces:
+        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _loop_ply(mesh, path):
+    mesh.validate()
+    scalar_names = sorted(mesh.vertex_scalars)
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {mesh.n_vertices}",
+        "property double x",
+        "property double y",
+        "property double z",
+    ]
+    lines += [f"property double {name}" for name in scalar_names]
+    lines += [
+        f"element face {mesh.n_faces}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    columns = [mesh.vertex_scalars[name] for name in scalar_names]
+    for idx, v in enumerate(mesh.vertices):
+        parts = [format_float(v[0]), format_float(v[1]), format_float(v[2])]
+        parts += [format_float(col[idx]) for col in columns]
+        lines.append(" ".join(parts))
+    for f in mesh.faces:
+        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _synthetic():
+    vertices = [
+        [-0.0, 5e-324, 1e300],
+        [-1e300, -5e-324, 0.1],
+        [1.0 / 3.0, 2.0, -3.5e-310],
+        [0.0, -0.0, 123456789.0],
+    ]
+    return TriMesh(
+        vertices=vertices,
+        faces=[[0, 1, 2], [0, 2, 3]],
+        vertex_scalars={
+            "count": np.array([1, -2, 3, 2**40], dtype=np.int64),
+            "edge": [-0.0, 5e-324, 1e300, -1e300],
+            "nan": np.array([math.nan, math.inf, -math.inf, 0.5]),
+        },
+    )
+
+
+MESHES = {
+    "sphere_3x3": lambda: sphere_exp_mesh(SphereGrid(3, 3, 2.0)),
+    "sphere_48x96": lambda: sphere_exp_mesh(SphereGrid(48, 96, 5.0)),
+    "apex_plane": lambda: plane_exp_surface(resolution=(32, 24)),
+    "closeup": lambda: singular_point_closeup(
+        5.0, resolution=(24, 12), detection_grid=(48, 96)
+    ),
+    "cutaway": lambda: ball_cutaway_mesh(5.0, (0.0, 1.0, 0.0), n_phi=24, n_gamma=16),
+    "metric_clip": lambda: clip_sphere_to_metric(
+        sphere_exp_mesh(SphereGrid(24, 16, 5.0)), 5.0
+    ),
+    "synthetic": _synthetic,
+    "vertices_only": lambda: TriMesh(vertices=np.eye(3), faces=np.zeros((0, 3))),
+    "empty": lambda: TriMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3))),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def mesh(request):
+    return MESHES[request.param]()
+
+
+@pytest.mark.parametrize(
+    "write, reference", [(write_obj, _loop_obj), (write_ply, _loop_ply)], ids=["obj", "ply"]
+)
+def test_bytes_match_reference(mesh, write, reference, tmp_path):
+    write(mesh, tmp_path / "batched")
+    reference(mesh, tmp_path / "loop")
+    assert (tmp_path / "batched").read_bytes() == (tmp_path / "loop").read_bytes()
+
+
+def test_metric_clip_has_defect_channel():
+    assert "distance_defect" in MESHES["metric_clip"]().vertex_scalars
+
+
+def test_empty_obj_is_one_newline(tmp_path):
+    write_obj(MESHES["empty"](), tmp_path / "e.obj")
+    assert (tmp_path / "e.obj").read_bytes() == b"\n"
+
+
+def test_percent_format_equals_format_float():
+    rng = random.Random(6)
+    values = [
+        math.copysign(10.0 ** rng.uniform(-300, 300), rng.choice((-1, 1)))
+        for _ in range(20_000)
+    ]
+    values += [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    assert all("%.17g" % x == format_float(x) for x in values)
+
+
+def test_edges_match_rowwise_unique(mesh):
+    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
+    e.sort(axis=1)
+    expected = np.unique(e, axis=0)
+    edges = mesh.edges()
+    assert edges.dtype == expected.dtype and edges.shape == expected.shape
+    assert np.array_equal(edges, expected)
+
+
+def test_sphere_euler_characteristic():
+    assert sphere_exp_mesh(SphereGrid(48, 96, 5.0)).euler_characteristic() == 2
