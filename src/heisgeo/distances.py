@@ -142,6 +142,8 @@ _CUT_ITERATIONS = 60
 _CUT_STEP_TOL = 1e-9
 _BOUND_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
+# Most geodesics shoot_candidates lists (~2 |z| / pi, ~0.8 KiB each in memory).
+_MAX_CANDIDATES = 1_000_000
 
 
 def _near_half(w, rho, z):
@@ -376,6 +378,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     the vertical line when |z| > pi.  Every geodesic's endpoint, rebuilt
     with origin_coordinates, must hit the target to tol * max(1, |target|)
     plus one rounding unit, else ShootingConvergenceError is raised.
+    ValueError, before any allocation, if 2 |z| / pi > _MAX_CANDIDATES.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -385,6 +388,9 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     x, y, z = target.x, target.y, target.z
     rho = math.hypot(x, y)
     height = abs(z)
+    if 2.0 * height / math.pi > _MAX_CANDIDATES:
+        raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
+                         f"at most {_MAX_CANDIDATES} are listed")
     axis = rho < _AXIS_TOL
     s, gamma, r = _cut_time_geodesics([(x, y, z)], tol)
     if axis:

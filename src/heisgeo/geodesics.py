@@ -217,20 +217,17 @@ def exp_map(base: HeisPoint, v: FrameVector) -> HeisPoint:
     return geodesic_from_point(spec, length)
 
 
-def _rhs(state: np.ndarray) -> np.ndarray:
-    """Right-hand side of the 6-dimensional geodesic system.
+def _rhs(state: np.ndarray, out: np.ndarray) -> None:
+    """Right-hand side of the 6-dimensional geodesic system, into out.
 
-    state[..., :] = (x, y, z, alpha, beta, gamma); works on any batch shape.
+    state and out have rows (x, y, z, alpha, beta, gamma) over the batch;
+    row 5 of out (d gamma / ds) is left as it is, zero.
     """
-    x, y, _z, a, b, g = (state[..., i] for i in range(6))
-    out = np.empty_like(state)
-    out[..., 0] = a
-    out[..., 1] = b
-    out[..., 2] = g - a * y + b * x
-    out[..., 3] = -2.0 * g * b
-    out[..., 4] = 2.0 * g * a
-    out[..., 5] = 0.0
-    return out
+    x, y, _z, a, b, g = state
+    out[:2] = state[3:5]
+    out[2] = g - a * y + b * x
+    out[3] = -2.0 * g * b
+    out[4] = 2.0 * g * a
 
 
 def integrate_geodesic_batch(
@@ -265,13 +262,21 @@ def integrate_geodesic_batch(
     h = s_max / n_steps
     out = np.empty((n_steps + 1, n, 6))
     out[0] = state
+    # (6, n) buffers updated in place; every sum and product is rounded in
+    # the order of state + c k and state + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    state = state.T.copy()
+    k1, k2, k3, k4, stage = np.zeros((5, 6, n))
     for k in range(n_steps):
-        k1 = _rhs(state)
-        k2 = _rhs(state + 0.5 * h * k1)
-        k3 = _rhs(state + 0.5 * h * k2)
-        k4 = _rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = state
+        _rhs(state, k1)
+        for slope, nxt, c in ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h)):
+            np.multiply(slope, c, out=stage)
+            stage += state
+            _rhs(stage, nxt)
+        k1 += 2.0 * k2
+        k1 += 2.0 * k3
+        k1 += k4
+        state += h / 6.0 * k1
+        out[k + 1] = state.T
     if not np.isfinite(out).all():
         # Cannot occur for finite inputs: the right-hand side is bounded on
         # bounded sets and globally Lipschitz in the velocity components.

@@ -19,10 +19,10 @@ does not.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
-drops below a tenth of the median edge length.  Pairs adjacent in the
-parameter grid are ignored, as are pairs whose separation is comparable to
-their distance from the nearest pole (the mesh legitimately closes up
-there, which would otherwise read as contact near the poles).
+is at most a tenth of the median edge length (pairs from `_close_pairs`, a
+cell hash).  Pairs adjacent in the parameter grid are ignored, as are pairs
+whose separation is comparable to their distance from the nearest pole (the
+mesh legitimately closes up there, which would read as contact near poles).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import HeisPoint, group_mul
 from .distances import riemannian_distance_many
@@ -320,10 +319,54 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
+def _close_pairs(points: np.ndarray, r: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of the points at most r >= 0 apart.
+
+    Exactly the pairs of cKDTree.query_pairs: (dx^2 + dy^2) + dz^2 <= r * r.
+    Cubic cells of side 1.0000001 max(r, 1e-150) + 1e-15 max|coordinate|
+    hold each such pair in adjacent cells despite rounding and underflow,
+    with exact integer indices.  Keys (cx * ny + cy) * nz + cz make a cell's
+    z-neighbours consecutive, so after one sort a point finds its candidates
+    in 5 ranges: its own column after itself through dz = +1, and the
+    forward columns (0, 1), (1, -1), (1, 0) and (1, 1) over dz = -1..1.  If
+    the keys would overflow int64, each axis is renumbered first, with
+    non-adjacent cells 2 apart; ValueError if they still would.
+    """
+    xyz = np.asarray(points, dtype=float).reshape(-1, 3).T.copy()
+    n, r2 = xyz.shape[1], r * r
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    side = 1.0000001 * max(r, 1e-150) + 1e-15 * float(np.abs(xyz).max())
+    cells = np.floor(xyz / side).astype(np.int64)
+    cells -= cells.min(axis=1, keepdims=True) - 1
+    if math.prod(int(m) + 2 for m in cells.max(axis=1)) >= 2**63:
+        for c in cells:
+            values, inverse = np.unique(c, return_inverse=True)
+            c[:] = np.cumsum(np.minimum(np.diff(values, prepend=values[0] - 1), 2))[inverse]
+    _, ny, nz = sizes = [int(m) + 2 for m in cells.max(axis=1)]
+    if math.prod(sizes) >= 2**63:
+        raise ValueError(f"{n} points span too many cells for int64 cell keys")
+    key = (cells[0] * ny + cells[1]) * nz + cells[2]
+    order = np.argsort(key)
+    skey = key[order]
+    column = (skey + np.array([[nz], [ny * nz - nz], [ny * nz], [ny * nz + nz]])).ravel()
+    found = np.searchsorted(skey, np.concatenate([skey + 2, column - 1, column + 2]))
+    starts = np.concatenate([np.arange(1, n + 1), found[n : 5 * n]])
+    counts = np.concatenate([found[:n], found[5 * n :]]) - starts
+    first = np.repeat(np.tile(np.arange(n), 5), counts)
+    second = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(first))
+    sorted_xyz = np.take(xyz, order, axis=1)
+    d = np.take(sorted_xyz, first, axis=1) - np.take(sorted_xyz, second, axis=1)
+    d *= d
+    keep = (d[0] + d[1]) + d[2] <= r2
+    i, j = order[first[keep]], order[second[keep]]
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
 def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     """Self-contact events of the exp-sphere at the given resolution.
 
-    A vertex pair is an event when its Euclidean separation is below
+    A vertex pair is an event when its Euclidean separation is at most
     0.1 x median edge length, the pair is more than two steps apart in the
     parameter grid (phi circular), and the separation is small compared
     with the pair's distance to the nearest pole.  The last condition
@@ -336,8 +379,7 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     )
     threshold = _PROXIMITY_RATIO * float(np.median(edge_lengths))
 
-    tree = cKDTree(mesh.vertices)
-    pairs = tree.query_pairs(r=threshold, output_type="ndarray")
+    pairs = _close_pairs(mesh.vertices, threshold)
     if pairs.size == 0:
         return []
 

@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +219,20 @@ class TestDistanceCommand:
         assert code == 2 and "distinct" in err
 
 
+    def test_candidate_listing_is_bounded(self, capsys):
+        # About 2 |z| / pi = 6.4e8 geodesics: refused before any is built.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(["distance", "0,0,0", "1e-3,0,1e9", "--all-candidates"], capsys)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and "at most 1000000" in err
+        assert elapsed < 0.5 and peak < 4 * 2**20
+
+
 class TestCurvatureCommand:
     def test_output(self, capsys):
         code, out, _ = run(["curvature"], capsys)
@@ -271,6 +287,21 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "5"
+
+
+class TestStartup:
+    def test_runtime_does_not_import_scipy(self, tmp_path):
+        # scipy.spatial alone costs a fresh process ~0.4 s of start-up.
+        code = (
+            "import sys, heisgeo.cli\n"
+            "code = heisgeo.cli.main(['figures', '--out-dir', sys.argv[1],"
+            " '--nphi', '24', '--ngamma', '48'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True
+        )
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
 
 class TestConfigFile:

@@ -450,6 +450,10 @@ class TestEnumeration:
         assert _dense_count(rho, z) == count
         assert len(shoot_candidates(HeisPoint(rho, 0, z))) == count
 
+    def test_long_list_below_the_bound(self):
+        # 2 |z| / pi = 63,662 is under the 10^6 that shoot_candidates lists.
+        assert len(shoot_candidates(HeisPoint(1e-3, 0, 1e5))) == 63_661
+
     @settings(max_examples=200, deadline=None)
     @given(_enumeration_targets())
     def test_every_candidate_is_certified(self, target):

@@ -313,3 +313,43 @@ class TestIntegrator:
         spec = GeodesicSpec.from_direction(0.99, phi=0.0)
         samples = integrate_geodesic(spec, 50.0, 5000)
         assert all(np.isfinite(s.point.as_array()).all() for s in samples[::500])
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_states_match_the_unbuffered_loop(self, batch):
+        rng = np.random.default_rng(batch)
+        gammas = rng.uniform(-1.0, 1.0, batch)
+        gammas[0] = -0.0
+        phis = rng.uniform(-4.0, 4.0, batch)
+        bases = rng.normal(0.0, 3.0, (batch, 3))
+        s_values, states = integrate_geodesic_batch(gammas, phis, 9.0, 2000, bases=bases)
+        assert np.array_equal(s_values, np.linspace(0.0, 9.0, 2001))
+        want = _unbuffered_rk4(gammas, phis, bases, 9.0 / 2000, 2000)
+        assert np.array_equal(states, want)
+        assert np.array_equal(np.signbit(states), np.signbit(want))
+
+
+def _unbuffered_rk4(gammas, phis, bases, h, n_steps):
+    """RK4 with a fresh array per stage on (B, 6) states, as first written."""
+
+    def rhs(state):
+        x, y, _z, a, b, g = (state[..., i] for i in range(6))
+        out = np.empty_like(state)
+        out[..., 0] = a
+        out[..., 1] = b
+        out[..., 2] = g - a * y + b * x
+        out[..., 3] = -2.0 * g * b
+        out[..., 4] = 2.0 * g * a
+        out[..., 5] = 0.0
+        return out
+
+    r = np.sqrt(np.clip(1.0 - gammas**2, 0.0, None))
+    state = np.column_stack([bases, r * np.cos(phis), r * np.sin(phis), gammas])
+    out = [state]
+    for _ in range(n_steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(state)
+    return np.stack(out)

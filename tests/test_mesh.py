@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import heisgeo.meshing
 from heisgeo.core import ORIGIN, HeisPoint
 from heisgeo.distances import riemannian_distance
 from heisgeo.geodesics import GeodesicSpec, geodesic_from_origin
@@ -26,6 +29,7 @@ from heisgeo.meshing import (
     sphere_exp_mesh,
     sphere_proximity_events,
 )
+from heisgeo.meshing import _close_pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +165,116 @@ class TestProximityDetector:
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             first_singular_radius(lo=5.0, hi=6.0, iterations=2)
+
+
+def _tree_pairs(points, r):
+    """cKDTree.query_pairs, the reference for _close_pairs."""
+    return cKDTree(points).query_pairs(r=r, output_type="ndarray").reshape(-1, 2)
+
+
+def _sorted_rows(pairs):
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+def _assert_same_pairs(points, r):
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    got = _close_pairs(points, r)
+    assert got.dtype == np.int64 and np.all(got[:, 0] < got[:, 1])
+    want = _tree_pairs(points, r) if len(points) else np.empty((0, 2), dtype=np.int64)
+    np.testing.assert_array_equal(_sorted_rows(got), _sorted_rows(want))
+    return len(got)
+
+
+_PARITY_RADII = [1.0, 3.0, 3.2, 3.3, 4.0, 5.0, 7.5, 10.0, 20.0, 35.0]
+
+
+class TestClosePairs:
+    """The numpy cell hash against cKDTree.query_pairs."""
+
+    @pytest.mark.parametrize(
+        "grid, n_events", [((96, 192), 36864), ((48, 96), 5760), ((64, 128), 14656), ((30, 50), 2700)]
+    )
+    def test_sphere_pairs_and_events(self, monkeypatch, grid, n_events):
+        events = {}
+        for radius in _PARITY_RADII:
+            mesh = sphere_exp_mesh(SphereGrid(*grid, radius))
+            e = mesh.edges()
+            lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+            _assert_same_pairs(mesh.vertices, 0.1 * float(np.median(lengths)))
+            events[radius] = sphere_proximity_events(SphereGrid(*grid, radius))
+        assert sum(map(len, events.values())) == n_events
+        monkeypatch.setattr(heisgeo.meshing, "_close_pairs", _tree_pairs)
+        for radius in _PARITY_RADII:
+            assert sphere_proximity_events(SphereGrid(*grid, radius)) == events[radius]
+
+    def test_empty_and_single_point(self):
+        assert _close_pairs(np.empty((0, 3)), 1.0).shape == (0, 2)
+        assert _assert_same_pairs([[1.0, 2.0, 3.0]], 1.0) == 0
+
+    def test_coincident_points_at_zero_radius(self):
+        points = np.repeat(np.random.default_rng(0).random((40, 3)), 3, axis=0)
+        assert _assert_same_pairs(points, 0.0) == 120
+
+    @pytest.mark.parametrize("r", [1.0, math.sqrt(2.0), math.sqrt(3.0), 0.999999])
+    def test_lattice_boundary(self, r):
+        # Distances 1, sqrt 2 and sqrt 3 sit on or next to the boundary.
+        lattice = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), axis=-1).reshape(-1, 3)
+        _assert_same_pairs(lattice, r)
+        _assert_same_pairs(0.1 * lattice, 0.1 * r)
+
+    def test_large_coordinates_small_radius(self):
+        rng = np.random.default_rng(1)
+        steps = rng.integers(0, 4, (300, 3)) * rng.choice([0.5e-6, 1e-6, 1.0000001e-6], (300, 3))
+        assert _assert_same_pairs(1e6 + steps, 1e-6) > 0
+        # Spread over 1e12 cells per axis: the keys need the gap ranks.
+        spread = rng.uniform(-1e6, 1e6, (200, 3))
+        spread = np.concatenate([spread, spread + rng.normal(0.0, 1e-6, (200, 3))])
+        assert _assert_same_pairs(spread, 1e-6) > 0
+        assert _assert_same_pairs(spread, 0.0) == 0
+
+    def test_underflow_and_overflow_of_the_square(self):
+        rng = np.random.default_rng(2)
+        tiny = rng.normal(0.0, 1e-162, (100, 3))
+        # Squared separations underflow to 0 <= r * r = 0 as well.
+        assert _assert_same_pairs(tiny, 0.0) > 0
+        assert _assert_same_pairs(tiny, 1e-170) > 0
+        wide = rng.uniform(-1.0, 1.0, (40, 3)) * 1e100
+        # r * r = inf keeps every pair.
+        assert _assert_same_pairs(wide, 1e160) == 40 * 39 // 2
+
+    def test_huge_and_tiny_coordinates_together(self):
+        points = [[1e150, 0, 0], [1e150, 0, 0], [0, 0, 0], [1e-160, 0, 0], [-1e150, 3e149, 1]]
+        for r in (0.0, 1e-160, 1e-140):
+            _assert_same_pairs(points, r)
+
+    @pytest.mark.parametrize(
+        "d, r, kept",
+        [
+            ((8.08988831479951e-09, 6.733801849456711e-10, 1.6778014639839967e-06),
+             1.6778211025853327e-06, 0),
+            ((3.739858925655426e-06, 5.668538616276919e-08, 0.33860956132411957),
+             0.3386095613447772, 1),
+        ],
+    )
+    def test_squares_summed_x_y_first(self, d, r, kept):
+        # (dx^2 + dy^2) + dz^2 and dx^2 + (dy^2 + dz^2) fall on either side
+        # of r * r here.
+        assert _assert_same_pairs([[0.0, 0.0, 0.0], d], r) == kept
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.floats(-8.0, 8.0),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_sets(self, n, log_scale, radius, snap, seed):
+        scale = 10.0**log_scale
+        points = np.random.default_rng(seed).normal(0.0, 1.0, (n, 3))
+        if snap:
+            points = np.round(4.0 * points) / 4.0
+        _assert_same_pairs(scale * points, scale * radius)
 
 
 class TestCloseup:
