@@ -192,7 +192,8 @@ class TestClosePairs:
     """The numpy cell hash against cKDTree.query_pairs."""
 
     @pytest.mark.parametrize(
-        "grid, n_events", [((96, 192), 36864), ((48, 96), 5760), ((64, 128), 14656), ((30, 50), 2700)]
+        "grid, n_events",
+        [((96, 192), 36864), ((48, 96), 5760), ((64, 128), 14656), ((30, 50), 2700)],
     )
     def test_sphere_pairs_and_events(self, monkeypatch, grid, n_events):
         events = {}
@@ -226,7 +227,7 @@ class TestClosePairs:
         rng = np.random.default_rng(1)
         steps = rng.integers(0, 4, (300, 3)) * rng.choice([0.5e-6, 1e-6, 1.0000001e-6], (300, 3))
         assert _assert_same_pairs(1e6 + steps, 1e-6) > 0
-        # Spread over 1e12 cells per axis: the keys need the gap ranks.
+        # Spread over 1e12 cells per axis: the keys need renumbered axes.
         spread = rng.uniform(-1e6, 1e6, (200, 3))
         spread = np.concatenate([spread, spread + rng.normal(0.0, 1e-6, (200, 3))])
         assert _assert_same_pairs(spread, 1e-6) > 0
