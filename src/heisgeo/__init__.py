@@ -7,125 +7,16 @@ package provides the group algebra, the metric with its connection and
 curvature, exact and numerically integrated geodesics, Riemannian and
 Cygan distance functions, and triangle-mesh emission for geodesic spheres
 and related surfaces, together with a deterministic command-line tool.
+
+The public names are those of each module's __all__.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    ORIGIN,
-    ConnectionTable,
-    CoordVector,
-    FrameVector,
-    HeisPoint,
-    MetricTensor,
-    commutator,
-    connection_table,
-    coord_to_frame,
-    curvature_frame,
-    frame_at,
-    frame_bracket,
-    frame_to_coord,
-    group_inv,
-    group_mul,
-    inner_product,
-    left_jacobian,
-    metric_at,
-    nabla,
-    sectional_curvature,
-)
-from .distances import (
-    ShootingConvergenceError,
-    ShootingSolution,
-    TargetUnreachableError,
-    brute_force_distance,
-    cygan_distance,
-    cygan_scaling_check,
-    dilate,
-    riemannian_distance,
-    riemannian_distance_many,
-    shoot_candidates,
-)
-from .geodesics import (
-    GeodesicSample,
-    GeodesicSpec,
-    exp_map,
-    geodesic_from_origin,
-    geodesic_from_point,
-    integrate_geodesic,
-    integrate_geodesic_batch,
-    origin_coordinates,
-    velocity_frame_at,
-)
-from .meshing import (
-    MeshError,
-    NoSingularityError,
-    ProximityEvent,
-    SphereGrid,
-    TriMesh,
-    ball_cutaway_mesh,
-    clip_mesh_to_halfspace,
-    clip_sphere_to_metric,
-    first_singular_radius,
-    geodesic_polyline,
-    plane_exp_surface,
-    singular_point_closeup,
-    sphere_exp_mesh,
-    sphere_proximity_events,
-)
+from . import core, distances, geodesics, meshing
+from .core import *
+from .distances import *
+from .geodesics import *
+from .meshing import *
 
-__all__ = [
-    "__version__",
-    "ORIGIN",
-    "HeisPoint",
-    "FrameVector",
-    "CoordVector",
-    "MetricTensor",
-    "ConnectionTable",
-    "GeodesicSpec",
-    "GeodesicSample",
-    "ShootingSolution",
-    "TriMesh",
-    "SphereGrid",
-    "ProximityEvent",
-    "group_mul",
-    "group_inv",
-    "commutator",
-    "left_jacobian",
-    "frame_at",
-    "metric_at",
-    "inner_product",
-    "frame_to_coord",
-    "coord_to_frame",
-    "nabla",
-    "connection_table",
-    "frame_bracket",
-    "curvature_frame",
-    "sectional_curvature",
-    "velocity_frame_at",
-    "geodesic_from_origin",
-    "geodesic_from_point",
-    "exp_map",
-    "integrate_geodesic",
-    "integrate_geodesic_batch",
-    "origin_coordinates",
-    "cygan_distance",
-    "cygan_scaling_check",
-    "dilate",
-    "shoot_candidates",
-    "riemannian_distance",
-    "riemannian_distance_many",
-    "brute_force_distance",
-    "ShootingConvergenceError",
-    "TargetUnreachableError",
-    "MeshError",
-    "NoSingularityError",
-    "sphere_exp_mesh",
-    "plane_exp_surface",
-    "ball_cutaway_mesh",
-    "clip_mesh_to_halfspace",
-    "clip_sphere_to_metric",
-    "sphere_proximity_events",
-    "singular_point_closeup",
-    "geodesic_polyline",
-    "first_singular_radius",
-]
+__all__ = ["__version__", *core.__all__, *geodesics.__all__, *distances.__all__, *meshing.__all__]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import FRAME_NAMES, HeisPoint, nabla, sectional_curvature
+from .core import FRAME_NAMES, HeisPoint, group_inv, group_mul, nabla, sectional_curvature
 from .distances import (
     ShootingConvergenceError,
     TargetUnreachableError,
@@ -56,16 +56,6 @@ _FIGURE_PLANE_SMAX = 6.0
 _FIGURE_CLOSEUP_RESOLUTION = (96, 48)
 
 
-def _parse_point(text: str) -> HeisPoint:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z triple, got {text!r}")
-    try:
-        return HeisPoint(float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _parse_vector(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -74,6 +64,10 @@ def _parse_vector(text: str) -> tuple[float, float, float]:
         return (float(parts[0]), float(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_point(text: str) -> HeisPoint:
+    return HeisPoint(*_parse_vector(text))
 
 
 @functools.cache
@@ -99,7 +93,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     geo.add_argument("--base", type=_parse_point, default=HeisPoint(0.0, 0.0, 0.0))
     geo.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     geo.add_argument("--out", default="-", help="output path, - for stdout")
-    geo.add_argument("--config", help="JSON file with defaults for these options")
 
     sph = sub.add_parser("sphere", help="emit a geodesic sphere mesh")
     sph.add_argument("--radius", type=float, default=None)
@@ -115,7 +108,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sph.add_argument("--metric-tol", type=float, default=1e-3)
     sph.add_argument("--format", choices=("obj", "ply"), default="obj")
     sph.add_argument("--out", default=None)
-    sph.add_argument("--config", help="JSON file with defaults for these options")
 
     surf = sub.add_parser("surface", help="emit the exp-image of the {X,T} plane")
     surf.add_argument("--theta-min", type=float, default=0.0)
@@ -126,14 +118,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     surf.add_argument("--ns", type=int, default=_FIGURE_PLANE_RESOLUTION[1])
     surf.add_argument("--format", choices=("obj", "ply"), default="obj")
     surf.add_argument("--out", default=None)
-    surf.add_argument("--config", help="JSON file with defaults for these options")
 
     fig = sub.add_parser("figures", help="emit the full figure suite with a manifest")
     fig.add_argument("--out-dir", default=None)
     fig.add_argument("--nphi", type=int, default=DEFAULT_DETECTION_GRID[0])
     fig.add_argument("--ngamma", type=int, default=DEFAULT_DETECTION_GRID[1])
     fig.add_argument("--format", choices=("obj", "ply"), default="obj")
-    fig.add_argument("--config", help="JSON file with defaults for these options")
 
     dist = sub.add_parser("distance", help="distance between two points")
     dist.add_argument("p", type=_parse_point, help="first point x,y,z")
@@ -146,12 +136,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     dist.add_argument("--tol", type=float, default=1e-8)
     dist.add_argument("--out", default="-", help="output path, - for stdout")
-    dist.add_argument("--config", help="JSON file with defaults for these options")
 
     curv = sub.add_parser("curvature", help="print sectional curvatures and the connection")
     curv.add_argument("--out", default="-", help="output path, - for stdout")
-    curv.add_argument("--config", help="JSON file with defaults for these options")
 
+    for command in sub.choices.values():
+        command.add_argument("--config", help="JSON file with defaults for these options")
     return parser, sub.choices
 
 
@@ -161,7 +151,7 @@ def _config_defaults(args: argparse.Namespace, command: argparse.ArgumentParser)
     Only options of the command are accepted; positional arguments are
     always given on the line, so a key naming one is unknown too.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     with open(args.config) as handle:
         values = json.load(handle)
@@ -245,72 +235,57 @@ def _cmd_surface(args) -> int:
     return EXIT_OK
 
 
+def _figure_table(n_phi: int, n_gamma: int) -> dict[str, tuple[str, str, dict]]:
+    """Manifest key -> (file stem, kind, parameters) of each figure.
+
+    The kind names the meshing function and the parameters are its
+    arguments (see _FIGURE_BUILDERS), in the JSON form the manifest records.
+    """
+    grid = {"n_phi": n_phi, "n_gamma": n_gamma}
+    closeup = {
+        "resolution": list(_FIGURE_CLOSEUP_RESOLUTION),
+        "detection_grid": [n_phi, n_gamma],
+    }
+    return {
+        "fig1": ("fig1_plane_surface", "plane_exp_surface", {
+            "theta_range": [0.0, TWO_PI],
+            "s_range": [0.0, _FIGURE_PLANE_SMAX],
+            "resolution": list(_FIGURE_PLANE_RESOLUTION),
+        }),
+        "fig2_r1": ("fig2_sphere_r1", "sphere_exp_mesh", {"radius": 1.0, **grid}),
+        "fig2_r3": ("fig2_sphere_r3", "sphere_exp_mesh", {"radius": 3.0, **grid}),
+        "fig3": ("fig3_half_ball_r5", "ball_cutaway_mesh",
+                 {"radius": 5.0, "cut_normal": [0.0, 1.0, 0.0], **grid}),
+        "fig4": ("fig4_singular_closeup_r5", "singular_point_closeup",
+                 {"radius": 5.0, "window": 0.08, **closeup}),
+        "fig5": ("fig5_singular_closeup_r20", "singular_point_closeup",
+                 {"radius": 20.0, "window": 0.05, **closeup}),
+    }
+
+
+# Figure kind -> mesh from the manifest parameters.  Each builder looks its
+# function up in this module when called, so a wrapper set on the module
+# attribute (a tracer, a test's monkeypatch) sees the figure calls too.
+_FIGURE_BUILDERS = {
+    "plane_exp_surface": lambda p: plane_exp_surface(**p),
+    "sphere_exp_mesh": lambda p: sphere_exp_mesh(SphereGrid(**p)),
+    "ball_cutaway_mesh": lambda p: ball_cutaway_mesh(
+        p["radius"], p["cut_normal"], n_phi=p["n_phi"], n_gamma=p["n_gamma"]
+    ),
+    "singular_point_closeup": lambda p: singular_point_closeup(**p),
+}
+
+
 def _cmd_figures(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    nphi, ngamma = args.nphi, args.ngamma
-    manifest: dict = {"format": ext, "figures": {}}
-
-    plane = plane_exp_surface(
-        theta_range=(0.0, TWO_PI),
-        s_range=(0.0, _FIGURE_PLANE_SMAX),
-        resolution=_FIGURE_PLANE_RESOLUTION,
-    )
-    name = f"fig1_plane_surface.{ext}"
-    _write_mesh(plane, out_dir / name, ext)
-    manifest["figures"]["fig1"] = {
-        "file": name,
-        "kind": "plane_exp_surface",
-        "theta_range": [0.0, TWO_PI],
-        "s_range": [0.0, _FIGURE_PLANE_SMAX],
-        "resolution": list(_FIGURE_PLANE_RESOLUTION),
-    }
-
-    for radius, key in ((1.0, "fig2_r1"), (3.0, "fig2_r3")):
-        mesh = sphere_exp_mesh(SphereGrid(nphi, ngamma, radius))
-        name = f"fig2_sphere_r{int(radius)}.{ext}"
-        _write_mesh(mesh, out_dir / name, ext)
-        manifest["figures"][key] = {
-            "file": name,
-            "kind": "sphere_exp_mesh",
-            "radius": radius,
-            "n_phi": nphi,
-            "n_gamma": ngamma,
-        }
-
-    half = ball_cutaway_mesh(5.0, (0.0, 1.0, 0.0), n_phi=nphi, n_gamma=ngamma)
-    name = f"fig3_half_ball_r5.{ext}"
-    _write_mesh(half, out_dir / name, ext)
-    manifest["figures"]["fig3"] = {
-        "file": name,
-        "kind": "ball_cutaway_mesh",
-        "radius": 5.0,
-        "cut_normal": [0.0, 1.0, 0.0],
-        "n_phi": nphi,
-        "n_gamma": ngamma,
-    }
-
-    for radius, window, key in ((5.0, 0.08, "fig4"), (20.0, 0.05, "fig5")):
-        closeup = singular_point_closeup(
-            radius,
-            window=window,
-            resolution=_FIGURE_CLOSEUP_RESOLUTION,
-            detection_grid=(nphi, ngamma),
-        )
-        name = f"{key}_singular_closeup_r{int(radius)}.{ext}"
-        _write_mesh(closeup, out_dir / name, ext)
-        manifest["figures"][key] = {
-            "file": name,
-            "kind": "singular_point_closeup",
-            "radius": radius,
-            "window": window,
-            "resolution": list(_FIGURE_CLOSEUP_RESOLUTION),
-            "detection_grid": [nphi, ngamma],
-        }
-
+    figures = {}
+    for key, (stem, kind, params) in _figure_table(args.nphi, args.ngamma).items():
+        name = f"{stem}.{args.format}"
+        _write_mesh(_FIGURE_BUILDERS[kind](params), out_dir / name, args.format)
+        figures[key] = {"file": name, "kind": kind, **params}
     with open(out_dir / "manifest.json", "w", newline="\n") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
+        json.dump({"format": args.format, "figures": figures}, handle, sort_keys=True, indent=2)
         handle.write("\n")
     return EXIT_OK
 
@@ -324,8 +299,6 @@ def _cmd_distance(args) -> int:
         _write_lines([format_float(cygan_distance(args.p, args.q))], args.out)
         return EXIT_OK
     if args.all_candidates:
-        from .core import group_inv, group_mul
-
         if args.p == args.q:
             raise ValueError("candidate listing needs two distinct points")
         delta = group_mul(group_inv(args.p), args.q)

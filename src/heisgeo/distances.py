@@ -131,17 +131,13 @@ class ShootingSolution:
     axis_family: bool = False
 
 
-def _height(gamma, s):
-    w = gamma * s
-    return 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
-
-
 _AXIS_TOL = 1e-12
 
 _CUT_ITERATIONS = 60
 _CUT_STEP_TOL = 1e-9
 _BOUND_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Most geodesics shoot_candidates lists (~2 |z| / pi, ~0.8 KiB each in memory).
 _MAX_CANDIDATES = 1_000_000
 
@@ -236,18 +232,14 @@ def _solve_increasing(residual, x, lo, hi, *params):
     return x
 
 
-def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified shortest geodesic from the origin to each row of points.
+def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
+    """Shortest geodesic from the origin to each target (x[i], y[i], z[i]).
 
-    Returns (s, gamma, r): the arc length, which is the distance, the
-    signed vertical velocity component and the planar speed; the planar
-    direction is atan2(y, x) - gamma * s.  Raises ShootingConvergenceError
-    naming the first target that fails its certificate.
+    Returns (s, gamma, r, phi): the arc length, which is the distance, the
+    signed vertical velocity component, the planar speed and the planar
+    direction.  Uncertified: the caller passes the geodesics to _certify
+    before returning them.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     rho = np.hypot(x, y)
     height = np.abs(z)
     s = np.full_like(rho, np.nan)
@@ -274,9 +266,14 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray, np.
             start = np.minimum(h / (1.0 + rho_i * rho_i / 3.0), top)
             w = _solve_increasing(_near_half, start, np.zeros(i.size), top, rho_i, h)
             sinc = _sinc(w)
-            s[i] = np.hypot(w, rho_i / sinc)
-            gamma[i] = w / s[i]
-            r[i] = rho_i / (sinc * s[i])
+            # Where w and rho are both subnormal, s is too, and gamma = w / s
+            # and r would keep only the few digits s has.  Scaling by 2^600
+            # is exact and keeps them all; elsewhere up is 1.
+            up = np.where(np.maximum(w, rho_i) < _TINY, 2.0**600, 1.0)
+            s_up = np.hypot(w * up, rho_i * up / sinc)
+            s[i] = s_up / up
+            gamma[i] = w * up / s_up
+            r[i] = rho_i * up / (sinc * s_up)
 
         i = np.flatnonzero((rho > 0.0) & (height > split))
         if i.size:
@@ -294,12 +291,30 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray, np.
 
         gamma = np.where(z < 0.0, -gamma, gamma)
         phi = np.arctan2(y, x) - gamma * s
+    return s, gamma, r, phi
+
+
+def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest) -> np.ndarray:
+    """Endpoint heights of geodesics from the origin, each certified.
+
+    Arguments broadcast: geodesic i has arc length s[i] and initial data
+    (r[i], phi[i], gamma[i]), and its target is (x[i], y[i], z[i]).  Its
+    endpoint, rebuilt with origin_coordinates, must hit the target to
+    tol * max(1, |target|) plus one rounding unit of the target's scale
+    (the rebuild is in double precision, so its miss is known to that unit
+    at best).  Every length must be at least rho, and where shortest is
+    true at most rho + min(|z|, sqrt(2 pi |z|)) (module docstring).
+    Raises ShootingConvergenceError naming the first geodesic that fails.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ex, ey, ez = origin_coordinates(r, phi, gamma, s)
+        rho = np.hypot(x, y)
+        height = np.abs(z)
         miss = np.sqrt((ex - x) ** 2 + (ey - y) ** 2 + (ez - z) ** 2)
         scale = np.maximum(1.0, np.sqrt(x * x + y * y + z * z))
-        upper = rho + np.minimum(height, np.sqrt(2.0 * math.pi * height))
-        # The endpoint is rebuilt in double precision, so its miss is known
-        # to one rounding unit of the target's scale at best.
+        upper = np.where(
+            shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf
+        )
         certified = (
             (miss + _EPS * scale <= tol * scale)
             & (s >= rho * (1.0 - _BOUND_SLACK))
@@ -307,12 +322,13 @@ def _cut_time_geodesics(points, tol: float) -> tuple[np.ndarray, np.ndarray, np.
         )
     if not certified.all():
         k = int(np.flatnonzero(~certified)[0])
+        x, y, z, s, rho, upper, scale = np.broadcast_arrays(x, y, z, s, rho, upper, scale)
         raise ShootingConvergenceError(
-            f"cannot certify the distance to ({x[k]}, {y[k]}, {z[k]}): endpoint "
+            f"cannot certify the geodesic to ({x[k]}, {y[k]}, {z[k]}): endpoint "
             f"miss {miss[k]:.3g} against tolerance {tol * scale[k]:.3g}, length "
             f"{float(s[k])!r} against bounds [{float(rho[k])!r}, {float(upper[k])!r}]"
         )
-    return s, gamma, r
+    return ez
 
 
 def _winding_geodesics(rho: float, height: float):
@@ -357,7 +373,12 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
     docstring); every value is certified or ShootingConvergenceError is
     raised.
     """
-    return _cut_time_geodesics(points, tol)[0]
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    s, gamma, r, phi = _cut_time_geodesics(x, y, z)
+    _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
+    return s
 
 
 def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
@@ -375,9 +396,9 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     On the axis (planar distance below _AXIS_TOL) the geodesics returning
     to it form circles, one representative each (phi = 0, axis_family):
     w = k pi with s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and
-    the vertical line when |z| > pi.  Every geodesic's endpoint, rebuilt
-    with origin_coordinates, must hit the target to tol * max(1, |target|)
-    plus one rounding unit, else ShootingConvergenceError is raised.
+    the vertical line when |z| > pi.  Every geodesic is certified as in
+    riemannian_distance_many, against the upper length bound only for the
+    first, else ShootingConvergenceError is raised.
     ValueError, before any allocation, if 2 |z| / pi > _MAX_CANDIDATES.
     """
     if not tol > 0.0:
@@ -385,14 +406,14 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     if target == ORIGIN:
         raise ValueError("target must differ from the origin")
 
-    x, y, z = target.x, target.y, target.z
+    x, y, z = target.as_array()
     rho = math.hypot(x, y)
     height = abs(z)
     if 2.0 * height / math.pi > _MAX_CANDIDATES:
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
     axis = rho < _AXIS_TOL
-    s, gamma, r = _cut_time_geodesics([(x, y, z)], tol)
+    s, gamma, r, _ = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
     if axis:
         # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
         # cut-time solution), then the vertical line as the limit k pi = |z|.
@@ -413,16 +434,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     else:
         # The chord points along phi + w, reversed where sinc(w) < 0.
         phi = math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)
-    ex, ey, ez = origin_coordinates(r, phi, gamma, s)
-    miss = np.sqrt((ex - x) ** 2 + (ey - y) ** 2 + (ez - z) ** 2)
-    scale = max(1.0, math.sqrt(x * x + y * y + z * z))
-    failed = np.flatnonzero(~(miss + _EPS * scale <= tol * scale))
-    if failed.size:
-        i = failed[0]
-        raise ShootingConvergenceError(
-            f"cannot certify the geodesic of length {float(s[i])!r} to ({x}, {y}, {z}): "
-            f"endpoint miss {miss[i]:.3g} against tolerance {tol * scale:.3g}"
-        )
+    ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
     residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
 
     return [
@@ -526,7 +538,7 @@ def brute_force_distance(
     r2 = np.sqrt(np.clip(1.0 - g2 * g2, 0.0, None))
     w2 = g2 * s2
     q2 = r2 * s2 * _sinc(w2)
-    z2 = _height(g2, s2)
+    z2 = origin_coordinates(r2, 0.0, g2, s2)[2]
     dq_dg = np.gradient(q2, gammas, axis=0)
     dz_dg = np.gradient(z2, gammas, axis=0)
     zdot = g2 + r2 * r2 * s2 * _sinc(w2) * np.sin(w2)

@@ -190,7 +190,6 @@ def sphere_exp_mesh(grid: SphereGrid) -> TriMesh:
     combinatorially closed (Euler characteristic 2).
     """
     gamma_rows = np.linspace(-1.0, 1.0, grid.n_gamma)
-    gamma_rows[0], gamma_rows[-1] = -1.0, 1.0
     return _revolved_exp_mesh(gamma_rows, grid.n_phi, grid.radius)
 
 
@@ -444,10 +443,6 @@ def singular_point_closeup(
     hi = min(1.0, center + window)
     n_phi, n_gamma = resolution
     gamma_rows = np.linspace(lo, hi, max(n_gamma, 3))
-    if lo == -1.0:
-        gamma_rows[0] = -1.0
-    if hi == 1.0:
-        gamma_rows[-1] = 1.0
     return _revolved_exp_mesh(gamma_rows, max(n_phi, 3), radius)
 
 

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import heisgeo
+from heisgeo import core, distances, geodesics, meshing, writers
 from heisgeo.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -133,6 +135,17 @@ class TestSphereCommand:
         assert code == 0
         ys = [float(l.split()[2]) for l in out.read_text().splitlines() if l.startswith("v ")]
         assert max(ys) <= 1e-12
+
+    def test_cut_normal(self, capsys, tmp_path):
+        out = tmp_path / "lower.obj"
+        code, _, _ = run(
+            ["sphere", "--radius", "1", "--nphi", "12", "--ngamma", "8",
+             "--half", "--cut-normal", "0,0,2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        zs = [float(l.split()[3]) for l in out.read_text().splitlines() if l.startswith("v ")]
+        assert max(zs) <= 1e-12 and min(zs) < -0.5
 
     def test_near_flat_small_radius(self, capsys, tmp_path):
         out = tmp_path / "tiny.obj"
@@ -258,6 +271,14 @@ class TestExitCodes:
             main(["distance", "0,0", "1,0,0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("normal", ["1,2", "1,2,x"])
+    def test_invalid_vector(self, capsys, tmp_path, normal):
+        with pytest.raises(SystemExit) as info:
+            main(["sphere", "--radius", "1", "--half", "--cut-normal", normal,
+                  "--out", str(tmp_path / "s.obj")])
+        assert info.value.code == 2
+        assert "--cut-normal" in capsys.readouterr().err
+
     def test_invalid_values(self, capsys):
         code, _, err = run(["geodesic", "--gamma", "0", "--smax", "-1"], capsys)
         assert code == 2 and "smax" in err
@@ -302,6 +323,71 @@ class TestStartup:
             [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True
         )
         assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+def _rebuild(entry):
+    """The mesh a figures manifest entry describes, from the entry alone."""
+    params = {k: v for k, v in entry.items() if k not in ("file", "kind")}
+    if entry["kind"] == "sphere_exp_mesh":
+        return meshing.sphere_exp_mesh(meshing.SphereGrid(**params))
+    if entry["kind"] == "ball_cutaway_mesh":
+        return meshing.ball_cutaway_mesh(cut_plane_normal=params.pop("cut_normal"), **params)
+    return getattr(meshing, entry["kind"])(**params)
+
+
+class TestFiguresManifest:
+    @pytest.mark.parametrize("fmt", ["obj", "ply"])
+    def test_manifest_rebuilds_every_figure(self, capsys, tmp_path, fmt):
+        out_dir = tmp_path / "figures"
+        argv = ["figures", "--out-dir", str(out_dir), "--nphi", "24", "--ngamma", "48",
+                "--format", fmt]
+        assert run(argv, capsys)[0] == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["format"] == fmt
+        entries = list(manifest["figures"].values())
+        assert len(entries) == 6
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert files == sorted([e["file"] for e in entries] + ["manifest.json"])
+        write = {"obj": writers.write_obj, "ply": writers.write_ply}[fmt]
+        for entry in entries:
+            rebuilt = tmp_path / entry["file"]
+            write(_rebuild(entry), rebuilt)
+            assert rebuilt.read_bytes() == (out_dir / entry["file"]).read_bytes(), entry
+
+
+# The package's public names before its __all__ was built from the modules'.
+_PUBLIC_NAMES = {
+    "__version__", "ORIGIN", "HeisPoint", "FrameVector", "CoordVector", "MetricTensor",
+    "ConnectionTable", "GeodesicSpec", "GeodesicSample", "ShootingSolution", "TriMesh",
+    "SphereGrid", "ProximityEvent", "group_mul", "group_inv", "commutator",
+    "left_jacobian", "frame_at", "metric_at", "inner_product", "frame_to_coord",
+    "coord_to_frame", "nabla", "connection_table", "frame_bracket", "curvature_frame",
+    "sectional_curvature", "velocity_frame_at", "geodesic_from_origin",
+    "geodesic_from_point", "exp_map", "integrate_geodesic", "integrate_geodesic_batch",
+    "origin_coordinates", "cygan_distance", "cygan_scaling_check", "dilate",
+    "shoot_candidates", "riemannian_distance", "riemannian_distance_many",
+    "brute_force_distance", "ShootingConvergenceError", "TargetUnreachableError",
+    "MeshError", "NoSingularityError", "sphere_exp_mesh", "plane_exp_surface",
+    "ball_cutaway_mesh", "clip_mesh_to_halfspace", "clip_sphere_to_metric",
+    "sphere_proximity_events", "singular_point_closeup", "geodesic_polyline",
+    "first_singular_radius",
+}
+
+
+class TestPackageSurface:
+    def test_all_is_the_module_lists(self):
+        modules = (core, geodesics, distances, meshing)
+        assert heisgeo.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+        assert len(set(heisgeo.__all__)) == len(heisgeo.__all__)
+        assert len(_PUBLIC_NAMES) == 54 and _PUBLIC_NAMES <= set(heisgeo.__all__)
+
+    def test_every_name_resolves(self):
+        namespace = {}
+        exec("from heisgeo import *", namespace)
+        for module in (core, geodesics, distances, meshing):
+            for name in module.__all__:
+                assert getattr(heisgeo, name) is getattr(module, name) is namespace[name]
+        assert namespace["__version__"] == heisgeo.__version__
 
 
 class TestConfigFile:

@@ -308,6 +308,31 @@ class TestCutTimeSolver:
         with pytest.raises(ValueError):
             riemannian_distance_many([[1.0, 0.0, 0.0]], tol=0.0)
 
+    @pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
+    def test_length_bounds_are_certified(self, monkeypatch, length):
+        # At tol = 0.9 a segment along x of length 0.5 or 1.5 hits the target
+        # (1, 0, 0) closely enough, but only length 1 lies in 1 <= d <= 1.
+        def segment(x, y, z):
+            one = np.ones_like(x)
+            return length * one, 0.0 * one, one, 0.0 * one
+
+        monkeypatch.setattr("heisgeo.distances._cut_time_geodesics", segment)
+        if length == 1.0:
+            assert riemannian_distance_many([[1.0, 0.0, 0.0]], tol=0.9).tolist() == [1.0]
+            return
+        with pytest.raises(ShootingConvergenceError, match=r"cannot certify.*\[1.0, 1.0\]"):
+            riemannian_distance_many([[1.0, 0.0, 0.0]], tol=0.9)
+
+    def test_candidate_that_misses_raises(self, monkeypatch):
+        # A winding geodesic that ends away from the target fails the
+        # certificate it shares with the cut-time solution; it is not listed.
+        def missing(rho, height):
+            return np.array([2.0 * height]), np.array([0.6]), np.array([0.8])
+
+        monkeypatch.setattr("heisgeo.distances._winding_geodesics", missing)
+        with pytest.raises(ShootingConvergenceError, match="cannot certify.*length 20.0 "):
+            shoot_candidates(HeisPoint(0.5, 0.2, 10.0))
+
     @pytest.mark.parametrize("target", [(0, 0, 1e4), (200, 0, 0), (1e-5, 0, -1e4)])
     def test_candidates_include_the_minimizer(self, target):
         sols = shoot_candidates(HeisPoint(*target))
@@ -397,6 +422,7 @@ class TestCutTimeProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda t: t != (0.0, 0.0, 0.0)))
+    @example((0.0, 5e-324, 5e-324))
     def test_agrees_with_enumeration(self, target):
         # No geodesic the enumeration finds is shorter.
         target = HeisPoint(*target)
