@@ -72,11 +72,7 @@ def _parse_point(text: str) -> HeisPoint:
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name.
-
-    Built once per process and shared by every call of main, which leaves
-    the defaults as it found them.
-    """
+    """The top-level parser and its subcommand parsers; built once, never changed."""
     parser = argparse.ArgumentParser(
         prog="heisgeo",
         description="Geodesics, distances and figure meshes of the Heisenberg group "
@@ -145,26 +141,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _config_defaults(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
-    """Option values from the JSON config file, keyed by option dest.
+def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> list[str]:
+    """The JSON config file's option values as command-line tokens.
 
-    Only options of the command are accepted; positional arguments are
-    always given on the line, so a key naming one is unknown too.
+    A string is passed as it is, an array as its comma-joined items and any
+    other value as its JSON text; a switch takes true (present) or false
+    (absent).  Only options of the command are accepted; positional
+    arguments are always given on the line, so a key naming one is unknown.
     """
     if not args.config:
-        return {}
+        return []
     with open(args.config) as handle:
         values = json.load(handle)
     if not isinstance(values, dict):
         raise ValueError("config file must contain a JSON object")
-    options = {a.dest for a in command._actions if a.option_strings} & set(vars(args))
-    defaults = {}
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest in args}
+    tokens = []
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest not in options:
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} does not match any option")
-        defaults[dest] = value
-    return defaults
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            items = value if isinstance(value, list) else [value]
+            text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
+            tokens.append(f"{flag}={text}")
+        elif value is True:
+            tokens.append(flag)
+        elif value is not False:
+            raise ValueError(f"config key {key!r} is a switch: true or false")
+    return tokens
 
 
 def _write_lines(lines: list[str], out: str) -> None:
@@ -375,26 +381,20 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        defaults = _config_defaults(args, commands[args.command])
+        tokens = _config_args(args, commands[args.command])
     except (OSError, json.JSONDecodeError) as exc:
         print(f"heisgeo: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if defaults:
-        # The config becomes the command's defaults and the line is parsed
-        # again, so argparse decides what the line gave in any spelling
-        # (--radius 2, --radius=2, --rad 2); string values pass through the
-        # option's type, as on the line.  The parser is shared across calls,
-        # so its own defaults are put back afterwards.
-        command = commands[args.command]
-        saved = {dest: command.get_default(dest) for dest in defaults}
-        command.set_defaults(**defaults)
-        try:
-            args = parser.parse_args(argv)
-        finally:
-            command.set_defaults(**saved)
+    if tokens:
+        # The config's tokens go right after the subcommand and the line is
+        # parsed again: every value takes the flags' type and choices
+        # checks, and the line's own flags come later, so they win in any
+        # spelling (--radius 2, --radius=2, --rad 2).
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     for dest in _REQUIRED.get(args.command, ()):
         if getattr(args, dest) is None:
             flag = "--" + dest.replace("_", "-")

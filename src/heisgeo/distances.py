@@ -31,8 +31,9 @@ with m = _sin_defect.  Two charts keep it well conditioned:
   of pi - w near the axis.
 
 On the axis (rho = 0) the closed form is d = |z| up to the conjugate
-height pi and d = sqrt(2 pi |z| - pi^2) beyond it.  Each 1-D solve is a
-safeguarded Newton-bisection, vectorized over targets
+height pi and d = sqrt(2 pi |z| - pi^2) beyond it; far-half targets with
+a subnormal rho take it too, as their t would be subnormal.  Each 1-D
+solve is a safeguarded Newton-bisection, vectorized over targets
 (riemannian_distance_many).  Every result is certified before it is
 returned: the geodesic's endpoint, rebuilt with origin_coordinates, must
 hit the target to tol * max(1, |target|) plus one rounding unit, and d
@@ -247,16 +248,20 @@ def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
     r = np.full_like(rho, np.nan)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
         # Axis: the vertical line up to the conjugate height pi, then the
-        # rotation family returning to the axis at w = pi.
-        i = np.flatnonzero(rho == 0.0)
+        # rotation family returning to the axis at w = pi.  A subnormal
+        # planar offset in the far half joins it: the far chart's t would be
+        # subnormal too and keep few digits, and the offset is below every
+        # tolerance.
+        axis = (rho == 0.0) | ((rho < _TINY) & (height > split))
+        i = np.flatnonzero(axis)
         h = height[i]
         winds = h > math.pi
         s[i] = np.where(winds, np.sqrt(2.0 * math.pi * h - math.pi**2), h)
         gamma[i] = np.where(winds, math.pi / s[i], 1.0)
         r[i] = np.sqrt((1.0 - gamma[i]) * (1.0 + gamma[i]))
 
-        split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
         i = np.flatnonzero((rho > 0.0) & (height <= split))
         if i.size:
             rho_i, h = rho[i], height[i]
@@ -275,7 +280,7 @@ def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
             gamma[i] = w * up / s_up
             r[i] = rho_i * up / (sinc * s_up)
 
-        i = np.flatnonzero((rho > 0.0) & (height > split))
+        i = np.flatnonzero(~axis & (height > split))
         if i.size:
             rho_i, h = rho[i], height[i]
             end = np.full(i.size, math.pi)
@@ -396,9 +401,10 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     On the axis (planar distance below _AXIS_TOL) the geodesics returning
     to it form circles, one representative each (phi = 0, axis_family):
     w = k pi with s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and
-    the vertical line when |z| > pi.  Every geodesic is certified as in
-    riemannian_distance_many, against the upper length bound only for the
-    first, else ShootingConvergenceError is raised.
+    the vertical line when |z| > pi; the cut-time geodesic keeps its own
+    phi unless the target is exactly on the axis.  Every geodesic is
+    certified as in riemannian_distance_many, against the upper length
+    bound only for the first, else ShootingConvergenceError is raised.
     ValueError, before any allocation, if 2 |z| / pi > _MAX_CANDIDATES.
     """
     if not tol > 0.0:
@@ -413,7 +419,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
     axis = rho < _AXIS_TOL
-    s, gamma, r, _ = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
+    s, gamma, r, phi = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
     if axis:
         # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
         # cut-time solution), then the vertical line as the limit k pi = |z|.
@@ -430,7 +436,8 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     w = gamma * s
     sinc = _sinc(w)
     if axis:
-        phi = np.zeros_like(s)
+        # Off the exact axis the cut-time geodesic keeps its own direction.
+        phi = np.append(phi if rho > 0.0 else 0.0, np.zeros(s.size - 1))
     else:
         # The chord points along phi + w, reversed where sinc(w) < 0.
         phi = math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)

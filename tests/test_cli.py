@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import heisgeo
 from heisgeo import core, distances, geodesics, meshing, writers
-from heisgeo.cli import main
+from heisgeo.cli import _build_parser, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -474,6 +475,131 @@ class TestConfigFile:
             capsys,
         )
         assert code == 3
+
+
+# (command with its line-only arguments, config, the same values as flags).
+# Between them the cases give every long option of every command a value
+# from the config file, each switch both true and false, and the point and
+# vector options both as a JSON array and as a string.
+_GEODESIC = ["geodesic", "--gamma", "0.37", "--smax", "2", "--n", "8"]
+_SPHERE = ["sphere", "--radius", "2", "--nphi", "8", "--ngamma", "6"]
+_DISTANCE = ["distance", "0.2,0.3,0.4", "1,0.5,-0.25"]
+_PARITY = [
+    (["geodesic", "--smax", "2"], {"gamma": 0.37, "phi": -1.1, "n": 12},
+     ["--gamma", "0.37", "--phi", "-1.1", "--n", "12"]),
+    (["geodesic", "--gamma", "0.37"], {"smax": 2.5, "format": "jsonl", "out": "result"},
+     ["--smax", "2.5", "--format", "jsonl", "--out", "result"]),
+    (_GEODESIC, {"base": [1, -2, 0.5]}, ["--base", "1,-2,0.5"]),
+    (_GEODESIC, {"base": "1,-2,0.5"}, ["--base=1,-2,0.5"]),
+    (["sphere", "--out", "result"], {"radius": 2, "nphi": 8, "ngamma": 6},
+     ["--radius", "2", "--nphi", "8", "--ngamma", "6"]),
+    (_SPHERE, {"out": "result", "format": "ply", "half": True, "cut_normal": [1, 0, 0]},
+     ["--out", "result", "--format", "ply", "--half", "--cut-normal", "1,0,0"]),
+    (_SPHERE + ["--out", "result"], {"half": True, "cut_normal": "0,0.6,0.8"},
+     ["--half", "--cut-normal", "0,0.6,0.8"]),
+    (_SPHERE + ["--out", "result"],
+     {"half": False, "clip_to_metric": True, "metric_tol": 0.01},
+     ["--clip-to-metric", "--metric-tol", "0.01"]),
+    (_SPHERE + ["--out", "result", "--half"], {"clip_to_metric": False}, []),
+    (["surface", "--out", "result"],
+     {"theta_min": 0.5, "theta_max": 3, "smin": 0.25, "smax": 2, "ntheta": 6, "ns": 4,
+      "format": "ply"},
+     ["--theta-min", "0.5", "--theta-max", "3", "--smin", "0.25", "--smax", "2",
+      "--ntheta", "6", "--ns", "4", "--format", "ply"]),
+    (["surface", "--ntheta", "6", "--ns", "4"], {"out": "result"}, ["--out", "result"]),
+    (["figures"], {"out_dir": "figs", "nphi": 24, "ngamma": 48, "format": "ply"},
+     ["--out-dir", "figs", "--nphi", "24", "--ngamma", "48", "--format", "ply"]),
+    (_DISTANCE, {"metric": "cygan", "out": "result"}, ["--metric", "cygan", "--out", "result"]),
+    (_DISTANCE, {"all_candidates": True, "tol": 1e-10}, ["--all-candidates", "--tol", "1e-10"]),
+    (_DISTANCE, {"all_candidates": False, "metric": "riemannian"}, ["--metric", "riemannian"]),
+    (["curvature"], {"out": "result"}, ["--out", "result"]),
+]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+class TestConfigParity:
+    def test_cases_cover_every_option(self):
+        _, commands = _build_parser()
+        for name, command in commands.items():
+            options = {a.dest for a in command._actions if a.option_strings}
+            covered = set().union(*(cfg for line, cfg, _ in _PARITY if line[0] == name))
+            assert covered == options - {"help", "config"}, name
+
+    @pytest.mark.parametrize("line, config, flags", _PARITY)
+    def test_config_gives_the_flags_output(self, capsys, tmp_path, monkeypatch,
+                                           line, config, flags):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        results = []
+        for side, argv in (("config", line + ["--config", "../cfg.json"]),
+                           ("flags", line + flags)):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            code = _exit_code(argv)
+            results.append((code, capsys.readouterr().out, _outputs(tmp_path / side)))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and (results[0][1] or results[0][2])
+
+    @pytest.mark.parametrize(
+        "line, config",
+        [
+            (_SPHERE, {"format": "stl"}),
+            (["distance", "0,0,0", "1,0,0"], {"metric": "euclid"}),
+            (_SPHERE, {"half": "no"}),
+            (_GEODESIC, {"base": [1, 2]}),
+            (["sphere", "--radius", "1", "--ngamma", "6"], {"nphi": 8.5}),
+            (["distance", "0,0,0", "1,0,0"], {"tol": None}),
+        ],
+        ids=["choice", "metric", "switch", "point", "int", "null"],
+    )
+    def test_invalid_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                            line, config):
+        # Checked like the same value given as a flag: exit 2, nothing written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert _exit_code(line + ["--out", "result", "--config", "cfg.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and next(iter(config)).replace("_", "-") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_threads_with_different_configs(self, tmp_path):
+        # The parser is shared by every call; a config file changes only its
+        # own call's arguments, also with four threads calling at once.
+        configs = [{"radius": 2, "nphi": 8, "ngamma": 6},
+                   {"radius": 3, "nphi": 10, "ngamma": 4, "half": True, "format": "ply"}]
+        expected = []
+        for k, config in enumerate(configs):
+            (tmp_path / f"cfg{k}.json").write_text(json.dumps(config))
+            assert main(["sphere", "--config", str(tmp_path / f"cfg{k}.json"),
+                         "--out", str(tmp_path / f"serial{k}")]) == 0
+            expected.append((tmp_path / f"serial{k}").read_bytes())
+
+        def calls(thread):
+            for i in range(50):
+                out = tmp_path / f"thread{thread}_{i}"
+                assert main(["sphere", "--config", str(tmp_path / f"cfg{thread % 2}.json"),
+                             "--out", str(out)]) == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(calls, range(4), timeout=120)) == [None] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        for thread in range(4):
+            for i in range(50):
+                written = (tmp_path / f"thread{thread}_{i}").read_bytes()
+                assert written == expected[thread % 2], (thread, i)
 
 
 class TestDeterminism:

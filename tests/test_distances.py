@@ -423,11 +423,56 @@ class TestCutTimeProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda t: t != (0.0, 0.0, 0.0)))
     @example((0.0, 5e-324, 5e-324))
+    @example((1e-320, 0.0, 2.0))
+    @example((1e-320, 0.0, 3.0))
     def test_agrees_with_enumeration(self, target):
         # No geodesic the enumeration finds is shorter.
         target = HeisPoint(*target)
         d = riemannian_distance(ORIGIN, target)
         assert shoot_candidates(target)[0].s == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-16.0, -12.0, exclude_max=True),
+        st.floats(0.0, TWO_PI),
+        st.floats(-6.0, math.log10(math.pi)),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([1e-8, 1e-13]),
+    )
+    @example(-13.0, 0.0, math.log10(0.5), 1.0, 1e-14)
+    @example(math.log10(5e-13), 0.0, math.log10(2.0), 1.0, 1e-13)
+    def test_near_axis_candidates_start_with_the_distance(self, log_rho, angle, log_z,
+                                                         sign, tol):
+        # Below _AXIS_TOL from the axis the list takes the axis closed forms,
+        # but its first entry is the cut-time geodesic with its own direction.
+        rho = 10.0**log_rho
+        target = (rho * math.cos(angle), rho * math.sin(angle), sign * 10.0**log_z)
+        first = shoot_candidates(HeisPoint(*target), tol=tol)[0]
+        assert first.s == riemannian_distance_many([target], tol=tol)[0]
+
+    def test_exp_is_minimizing_up_to_the_cut_time(self):
+        # Scale-free: unit-speed geodesics of length |v| in 1e-6..1e4, half
+        # with the vertical component uniform on the unit sphere and half
+        # with |gamma| |v| spread over [0, 3 pi].  d(0, exp(v)) never exceeds
+        # |v|, equals it before the cut time pi / |gamma| and is shorter
+        # after it.
+        rng = np.random.default_rng(20)
+        n = 20_000
+        length = 10.0 ** rng.uniform(-6.0, 4.0, n)
+        spread = np.minimum(1.0, rng.uniform(0.0, 3.0 * math.pi, n) / length)
+        gamma = np.where(
+            np.arange(n) % 2 == 0, rng.uniform(-1.0, 1.0, n), spread * rng.choice([-1, 1], n)
+        )
+        r = np.sqrt((1.0 - gamma) * (1.0 + gamma))
+        end = origin_coordinates(r, rng.uniform(0.0, TWO_PI, n), gamma, length)
+        d = riemannian_distance_many(np.column_stack(end))
+        w = np.abs(gamma) * length
+        assert np.all(d <= length * (1.0 + 1e-12))
+        before = w <= math.pi * (1.0 - 1e-9)
+        after = w >= math.pi * (1.0 + 1e-6)
+        assert before.sum() > 1000 and after.sum() > 1000
+        assert np.all(np.abs(d[before] - length[before]) <= 1e-12 * length[before])
+        assert np.all(d[after] < length[after])
 
 
 def _dense_count(rho, z, points=20001):
