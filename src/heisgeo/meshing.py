@@ -100,15 +100,17 @@ class TriMesh:
         """Unique undirected edges referenced by the faces.
 
         Sorted `(n, 2)` rows `a < b`, in lexicographic order.  Each edge is
-        keyed as the single integer `a * n_vertices + b`, so one 1-D
-        `np.unique` stands in for the much slower row-wise `axis=0` form.
+        keyed as the single integer `a * n_vertices + b`; one sort of the
+        keys and a neighbour-differs mask stand in for the much slower
+        row-wise `np.unique(axis=0)`.
         """
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        keys = np.unique(e[:, 0] * self.n_vertices + e[:, 1])
-        return np.stack(np.divmod(keys, self.n_vertices), axis=1)
+        ends = np.roll(self.faces, -1, axis=1)
+        keys = np.minimum(self.faces, ends) * self.n_vertices + np.maximum(self.faces, ends)
+        keys = np.sort(keys, axis=None)
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return np.stack(np.divmod(keys[first], self.n_vertices), axis=1)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + self.n_faces

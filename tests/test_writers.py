@@ -1,9 +1,11 @@
 """Mesh files and edges against the value-by-value reference forms.
 
-The writers format each file body in one `%` operation; the references
-below are the per-value loops they replaced, and must give the same bytes.
-`TriMesh.edges()` keys each edge as one integer; the reference is the
-row-wise `np.unique(axis=0)`.
+The writers format each distinct double of a float table once and fill
+the rows from those strings; the references below are the per-value loops,
+and must give the same bytes.  The tables include 0.0 beside -0.0, several
+nan payloads, subnormals and infinities, which a dedup by value instead of
+by bit pattern would print wrongly.  `TriMesh.edges()` keys each edge as one
+integer; the reference is the row-wise `np.unique(axis=0)`.
 """
 
 import math
@@ -11,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisgeo.meshing import (
     SphereGrid,
@@ -81,10 +85,37 @@ def _synthetic():
     )
 
 
+def _bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# Quiet nans with two payloads and the sign bit set: all print "nan".
+NANS = _bits(0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000)
+
+
+def _repeats():
+    """Signed zeros in one column, repeated subnormals, nan payloads, +-inf."""
+    return TriMesh(
+        vertices=[
+            [0.0, 5e-324, -0.0],
+            [-0.0, 5e-324, 0.0],
+            [5e-324, -5e-324, -0.0],
+            [0.0, -0.0, 2.5e-310],
+            [-0.0, 2.5e-310, 0.0],
+        ],
+        faces=[[0, 1, 2], [0, 2, 3], [0, 3, 4]],
+        vertex_scalars={
+            "inf": [math.inf, -math.inf, math.inf, -0.0, 0.0],
+            "nan": [NANS[0], NANS[1], NANS[2], NANS[0], math.nan],
+        },
+    )
+
+
 MESHES = {
     "sphere_3x3": lambda: sphere_exp_mesh(SphereGrid(3, 3, 2.0)),
     "sphere_48x96": lambda: sphere_exp_mesh(SphereGrid(48, 96, 5.0)),
     "apex_plane": lambda: plane_exp_surface(resolution=(32, 24)),
+    "fig1_plane": lambda: plane_exp_surface(resolution=(128, 96)),
     "closeup": lambda: singular_point_closeup(
         5.0, resolution=(24, 12), detection_grid=(48, 96)
     ),
@@ -93,6 +124,7 @@ MESHES = {
         sphere_exp_mesh(SphereGrid(24, 16, 5.0)), 5.0
     ),
     "synthetic": _synthetic,
+    "repeats": _repeats,
     "vertices_only": lambda: TriMesh(vertices=np.eye(3), faces=np.zeros((0, 3))),
     "empty": lambda: TriMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3))),
 }
@@ -110,6 +142,38 @@ def test_bytes_match_reference(mesh, write, reference, tmp_path):
     write(mesh, tmp_path / "batched")
     reference(mesh, tmp_path / "loop")
     assert (tmp_path / "batched").read_bytes() == (tmp_path / "loop").read_bytes()
+
+
+# A small pool, so drawn tables repeat values often.
+FINITE_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0 / 3.0, -1.5, 1e300]
+SCALAR_POOL = FINITE_POOL + [math.inf, -math.inf, *NANS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from(FINITE_POOL), min_size=3 * n, max_size=3 * n),
+            st.lists(
+                st.lists(st.sampled_from(SCALAR_POOL), min_size=n, max_size=n),
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_repeated_values_match_reference(tmp_path_factory, drawn):
+    coordinates, channels = drawn
+    n = len(coordinates) // 3
+    mesh = TriMesh(
+        vertices=coordinates,
+        faces=[[0, i, i + 1] for i in range(1, n - 1)],
+        vertex_scalars={f"c{k}": np.array(c, dtype=float) for k, c in enumerate(channels)},
+    )
+    directory = tmp_path_factory.mktemp("repeats")
+    for write, reference in ((write_obj, _loop_obj), (write_ply, _loop_ply)):
+        write(mesh, directory / "batched")
+        reference(mesh, directory / "loop")
+        assert (directory / "batched").read_bytes() == (directory / "loop").read_bytes()
 
 
 def test_metric_clip_has_defect_channel():
