@@ -85,12 +85,10 @@ def _synthetic():
     )
 
 
-def _bits(*patterns):
-    return np.array(patterns, dtype=np.uint64).view(np.float64)
-
-
 # Quiet nans with two payloads and the sign bit set: all print "nan".
-NANS = _bits(0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000)
+NANS = np.array(
+    [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000], dtype=np.uint64
+).view(np.float64)
 
 
 def _repeats():
@@ -101,7 +99,7 @@ def _repeats():
             [-0.0, 5e-324, 0.0],
             [5e-324, -5e-324, -0.0],
             [0.0, -0.0, 2.5e-310],
-            [-0.0, 2.5e-310, 0.0],
+            [-0.0, 0.0, 2.5e-310],
         ],
         faces=[[0, 1, 2], [0, 2, 3], [0, 3, 4]],
         vertex_scalars={
