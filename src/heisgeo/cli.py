@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -138,6 +139,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     for command in sub.choices.values():
         command.add_argument("--config", help="JSON file with defaults for these options")
+        # Python 3.13's pattern: -1,2,3 and -.5,0,0 are values, not options.
+        command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser, sub.choices
 
 

@@ -121,9 +121,9 @@ def cygan_scaling_check(p: HeisPoint, q: HeisPoint, lam: float) -> tuple[float, 
 class ShootingSolution:
     """A geodesic from the origin reaching the target within tolerance.
 
-    axis_family marks targets on the z-axis, where the planar direction is
-    arbitrary by rotational symmetry and one representative (phi = 0) of a
-    whole circle of solutions is reported.
+    axis_family marks targets folded onto the z-axis (see shoot_candidates),
+    where the planar direction is arbitrary by rotational symmetry and one
+    representative (phi = 0) of a whole circle of solutions is reported.
     """
 
     spec: GeodesicSpec
@@ -131,8 +131,6 @@ class ShootingSolution:
     residual: float
     axis_family: bool = False
 
-
-_AXIS_TOL = 1e-12
 
 _CUT_ITERATIONS = 60
 _CUT_STEP_TOL = 1e-9
@@ -387,25 +385,25 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
 
 
 def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolution]:
-    """Every geodesic from the origin to target, by non-decreasing arc length.
+    """Every geodesic from the origin to target, the shortest first.
 
-    The first entry is the certified cut-time solution (window 0), the
-    shortest geodesic; the sort is stable, so it stays first on a tie.  Ties
-    happen just off the z-axis (planar distance a few times _AXIS_TOL, |z|
-    in the hundreds or more): the cut-time geodesic (w just below pi) and
-    the first root of window 1 (w just above pi) then differ in length by
-    less than the rounding of s, and two lengths come out equal.
+    The first entry is the cut-time solution (window 0), whose length is the
+    distance; the others follow by non-decreasing arc length.  Each window
+    k >= 1 adds the roots of G_k (module docstring), about 2 |z| / pi
+    geodesics in all.  Next to the axis the cut-time geodesic (w just below
+    pi) and window 1's first root (w just above pi) differ in length by less
+    than the rounding of s, so entry 1 can tie with entry 0 or round one
+    unit below it.
 
-    Off the z-axis each window k >= 1 adds the roots of G_k (module
-    docstring), so a target lists about 2 |z| / pi geodesics.
-    On the axis (planar distance below _AXIS_TOL) the geodesics returning
-    to it form circles, one representative each (phi = 0, axis_family):
-    w = k pi with s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and
-    the vertical line when |z| > pi; the cut-time geodesic keeps its own
-    phi unless the target is exactly on the axis.  Every geodesic is
-    certified as in riemannian_distance_many, against the upper length
-    bound only for the first, else ShootingConvergenceError is raised.
-    ValueError, before any allocation, if 2 |z| / pi > _MAX_CANDIDATES.
+    A target with planar distance rho <= eps d (d the distance) is folded
+    onto the axis (axis_family): the axis geodesics hit it to rounding, and
+    the certificate allows that for any tol.  They form circles, one
+    representative each (phi = 0 on every entry): w = k pi with
+    s = sqrt(k pi (2 |z| - k pi)) for 1 < k < |z| / pi, and the vertical
+    line when |z| > pi.  Every geodesic is certified as in
+    riemannian_distance_many, against the upper length bound only for the
+    first, else ShootingConvergenceError is raised.  ValueError, before any
+    allocation, if 2 |z| / pi > _MAX_CANDIDATES.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -418,8 +416,8 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     if 2.0 * height / math.pi > _MAX_CANDIDATES:
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
-    axis = rho < _AXIS_TOL
-    s, gamma, r, phi = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
+    s, gamma, r, _ = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
+    axis = bool(rho <= _EPS * s[0])
     if axis:
         # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
         # cut-time solution), then the vertical line as the limit k pi = |z|.
@@ -435,12 +433,8 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
 
     w = gamma * s
     sinc = _sinc(w)
-    if axis:
-        # Off the exact axis the cut-time geodesic keeps its own direction.
-        phi = np.append(phi if rho > 0.0 else 0.0, np.zeros(s.size - 1))
-    else:
-        # The chord points along phi + w, reversed where sinc(w) < 0.
-        phi = math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)
+    # The chord points along phi + w, reversed where sinc(w) < 0.
+    phi = np.zeros(s.size) if axis else math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)
     ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
     residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
 
@@ -453,7 +447,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
             residual=float(residual[i]),
             axis_family=axis,
         )
-        for i in np.argsort(s, kind="stable")
+        for i in [0, *1 + np.argsort(s[1:], kind="stable")]
     ]
 
 

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,13 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """A fresh interpreter that imports this heisgeo, installed or not."""
+    paths = [str(Path(heisgeo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 class TestGeodesicCommand:
@@ -224,6 +233,18 @@ class TestDistanceCommand:
         assert code == 0
         assert first["s"] == float(out)
 
+    def test_candidates_next_to_the_axis(self, capsys):
+        # 5e-13 from the axis is far above one rounding unit of the distance:
+        # the windows are solved, and every geodesic certifies at a tolerance
+        # below the planar distance.
+        argv = ["distance", "0,0,0", "5e-13,0,5", "--tol", "1e-14"]
+        code, out, _ = run(argv + ["--all-candidates"], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3 and not any("axis_family" in r for r in records)
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and records[0]["s"] == float(out)
+
     def test_candidates_need_distinct_points(self, capsys):
         code, _, err = run(
             ["distance", "--metric", "riemannian", "1,0,0", "1,0,0",
@@ -245,6 +266,49 @@ class TestDistanceCommand:
             tracemalloc.stop()
         assert code == 2 and out == "" and "at most 1000000" in err
         assert elapsed < 0.5 and peak < 4 * 2**20
+
+
+class TestLeadingMinus:
+    """Points and vectors whose first coordinate is negative are values."""
+
+    @pytest.mark.parametrize(
+        "argv, p, q",
+        [
+            (["distance", "0,0,0", "-1,2,3"], (0, 0, 0), (-1, 2, 3)),
+            (["distance", "--", "0,0,0", "-1,2,3"], (0, 0, 0), (-1, 2, 3)),
+            (["distance", "-1,0,0.5", "0,0,0", "--tol", "1e-10"], (-1, 0, 0.5), (0, 0, 0)),
+            (["distance", "0,0,0", "-.5,-2,3"], (0, 0, 0), (-0.5, -2, 3)),
+            (["distance", "0,0,0", "-1e-3,0,-7"], (0, 0, 0), (-1e-3, 0, -7)),
+        ],
+    )
+    def test_distance_points(self, capsys, argv, p, q):
+        code, out, _ = run(argv, capsys)
+        tol = 1e-10 if "--tol" in argv else 1e-8
+        expected = distances.riemannian_distance(core.HeisPoint(*p), core.HeisPoint(*q), tol)
+        assert code == 0 and out == writers.format_float(expected) + "\n"
+
+    @pytest.mark.parametrize("base", [["--base", "-1,2,3"], ["--base=-1,2,3"]])
+    def test_geodesic_base(self, capsys, base):
+        code, out, _ = run(["geodesic", "--gamma", "0.5", "--smax", "1", "--n", "2", *base],
+                           capsys)
+        assert code == 0 and out.splitlines()[1].startswith("0,-1,2,3,")
+
+    @pytest.mark.parametrize("normal", [["--cut-normal", "-1,0,0"], ["--cut-normal=-1,0,0"]])
+    def test_cut_normal(self, capsys, tmp_path, normal):
+        argv = ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--half"]
+        code, _, _ = run(argv + normal + ["--out", str(tmp_path / "minus.obj")], capsys)
+        assert code == 0
+        code, _, _ = run(argv + ["--cut-normal", "1,0,0", "--out", str(tmp_path / "plus.obj")],
+                         capsys)
+        assert code == 0
+        assert (tmp_path / "minus.obj").read_bytes() != (tmp_path / "plus.obj").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["distance", "0,0,0", "-x,2,3"],
+                                      ["geodesic", "--gamma", "0", "--base", "-x,2,3"]])
+    def test_other_dash_tokens_are_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 class TestCurvatureCommand:
@@ -301,14 +365,22 @@ class TestExitCodes:
         assert code == 4 and "solver" in err
 
     def test_console_entrypoint(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "heisgeo.cli", "distance", "--metric",
-             "cygan", "0,0,0", "3,4,0"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python(["-m", "heisgeo.cli", "distance", "--metric", "cygan",
+                             "0,0,0", "3,4,0"])
         assert result.returncode == 0
         assert result.stdout.strip() == "5"
+
+
+class TestReadme:
+    def test_usage_block_runs(self, capsys, tmp_path, monkeypatch):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command-line usage", 1)[1].split("```")[1]
+        lines = [line.split() for line in block.splitlines() if line.startswith("heisgeo ")]
+        assert len(lines) >= 10
+        monkeypatch.chdir(tmp_path)
+        for argv in lines:
+            assert main(argv[1:]) == 0, argv
+            capsys.readouterr()
 
 
 class TestStartup:
@@ -320,9 +392,7 @@ class TestStartup:
             " '--nphi', '24', '--ngamma', '48'])\n"
             "print(code, 'scipy' in sys.modules)\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True
-        )
+        result = run_python(["-c", code, str(tmp_path)])
         assert result.stdout.split() == ["0", "False"], result.stderr
 
 

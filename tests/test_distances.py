@@ -23,6 +23,7 @@ from heisgeo.distances import (
 from heisgeo.geodesics import exp_map, origin_coordinates
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def random_points(n, seed, box=2.0):
@@ -373,6 +374,21 @@ def _targets(draw):
     return rho * math.cos(angle), rho * math.sin(angle), z
 
 
+@st.composite
+def _near_axis_targets(draw):
+    """Planar distance log-uniform in [1e-16, 1e-12), |z| in [1e-6, pi]."""
+    rho = 10.0 ** draw(st.floats(-16.0, -12.0, exclude_max=True))
+    angle = draw(st.floats(0.0, TWO_PI))
+    z = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, math.log10(math.pi)))
+    return rho * math.cos(angle), rho * math.sin(angle), z
+
+
+def _fold_target(factor, z):
+    """A target factor * eps * d from the z-axis, d its distance (|z| > pi)."""
+    rho = factor * EPS * math.sqrt(2.0 * math.pi * abs(z) - math.pi**2)
+    return rho * math.cos(1.0), rho * math.sin(1.0), z
+
+
 def _distance(x, y, z):
     return riemannian_distance(ORIGIN, HeisPoint(x, y, z))
 
@@ -432,23 +448,32 @@ class TestCutTimeProperties:
         assert shoot_candidates(target)[0].s == pytest.approx(d, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.floats(-16.0, -12.0, exclude_max=True),
-        st.floats(0.0, TWO_PI),
-        st.floats(-6.0, math.log10(math.pi)),
-        st.sampled_from([-1.0, 1.0]),
-        st.sampled_from([1e-8, 1e-13]),
-    )
-    @example(-13.0, 0.0, math.log10(0.5), 1.0, 1e-14)
-    @example(math.log10(5e-13), 0.0, math.log10(2.0), 1.0, 1e-13)
-    def test_near_axis_candidates_start_with_the_distance(self, log_rho, angle, log_z,
-                                                         sign, tol):
-        # Below _AXIS_TOL from the axis the list takes the axis closed forms,
-        # but its first entry is the cut-time geodesic with its own direction.
-        rho = 10.0**log_rho
-        target = (rho * math.cos(angle), rho * math.sin(angle), sign * 10.0**log_z)
-        first = shoot_candidates(HeisPoint(*target), tol=tol)[0]
-        assert first.s == riemannian_distance_many([target], tol=tol)[0]
+    @given(_near_axis_targets(), st.sampled_from([1e-8, 1e-13]))
+    @example((1e-13, 0.0, 0.5), 1e-14)
+    @example((4.999999999999999e-13, 0.0, 2.0), 1e-13)
+    @example((5e-13, 0.0, 5.0), 1e-14)
+    @example(_fold_target(0.5, 5.0), 1e-14)
+    @example(_fold_target(2.0, 5.0), 1e-14)
+    @example(_fold_target(0.5, -50.0), 1e-14)
+    @example(_fold_target(2.0, -50.0), 1e-14)
+    @example(_fold_target(0.5, 1e3), 1e-14)
+    @example(_fold_target(2.0, 1e3), 1e-14)
+    @example(_fold_target(0.5, 1e5), 1e-14)
+    @example(_fold_target(2.0, 1e5), 1e-14)
+    # Window 1's first root rounds one unit below the distance here.
+    @example((5.818148706004426e-16, 4.91832053394698e-16, 3.3227634215189643), 1e-8)
+    def test_near_axis_candidates_start_with_the_distance(self, target, tol):
+        # Up to one rounding unit of the distance from the axis (rho <= eps d)
+        # the list is folded onto the axis; further out the windows are
+        # solved.  Either way the shortest geodesic comes first, and every
+        # geodesic certifies, even at a tol below the planar distance.
+        sols = shoot_candidates(HeisPoint(*target), tol=tol)
+        d = riemannian_distance_many([target], tol=tol)[0]
+        assert sols[0].s == d
+        rest = [sol.s for sol in sols[1:]]
+        assert rest == sorted(rest)
+        folded = math.hypot(target[0], target[1]) <= EPS * d
+        assert all(sol.axis_family == folded for sol in sols)
 
     def test_exp_is_minimizing_up_to_the_cut_time(self):
         # Scale-free: unit-speed geodesics of length |v| in 1e-6..1e4, half
@@ -538,6 +563,6 @@ class TestEnumeration:
         )
         miss = np.sqrt((ex - target[0]) ** 2 + (ey - target[1]) ** 2 + (ez - target[2]) ** 2)
         scale = max(1.0, math.sqrt(sum(c * c for c in target)))
-        assert np.all(miss <= (1e-8 + np.finfo(float).eps) * scale)
+        assert np.all(miss <= (1e-8 + EPS) * scale)
         assert np.all(np.diff(s) > 0.0)
         assert s[0] == riemannian_distance(ORIGIN, HeisPoint(*target))
