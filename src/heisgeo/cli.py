@@ -138,7 +138,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     curv.add_argument("--out", default="-", help="output path, - for stdout")
 
     for command in sub.choices.values():
-        command.add_argument("--config", help="JSON file with defaults for these options")
+        command.add_argument(
+            "--config", default="", help="JSON file with defaults for these options"
+        )
         # Python 3.13's pattern: -1,2,3 and -.5,0,0 are values, not options.
         command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser, sub.choices
@@ -219,13 +221,14 @@ def _cmd_sphere(args) -> int:
         raise ValueError("--radius must be positive")
     if not args.metric_tol > 0.0:
         raise ValueError("--metric-tol must be positive")
-    grid = SphereGrid(n_phi=args.nphi, n_gamma=args.ngamma, radius=args.radius)
     if args.half:
         mesh = ball_cutaway_mesh(
             args.radius, args.cut_normal, n_phi=args.nphi, n_gamma=args.ngamma
         )
     else:
-        mesh = sphere_exp_mesh(grid)
+        mesh = sphere_exp_mesh(
+            SphereGrid(n_phi=args.nphi, n_gamma=args.ngamma, radius=args.radius)
+        )
     if args.clip_to_metric:
         mesh = clip_sphere_to_metric(mesh, args.radius, tol=args.metric_tol)
     _write_mesh(mesh, args.out, args.format)
@@ -370,14 +373,6 @@ _COMMANDS = {
     "curvature": _cmd_curvature,
 }
 
-# Options that must be present after merging command line and config file.
-_REQUIRED = {
-    "geodesic": ("gamma", "smax"),
-    "sphere": ("radius", "out"),
-    "surface": ("out",),
-    "figures": ("out_dir",),
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -398,12 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         # spelling (--radius 2, --radius=2, --rad 2).
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
-    for dest in _REQUIRED.get(args.command, ()):
-        if getattr(args, dest) is None:
-            flag = "--" + dest.replace("_", "-")
-            print(
-                f"heisgeo: {flag} is required (flag or config file)", file=sys.stderr
-            )
+    # An option declared with default None must be set by the line or the config.
+    for action in commands[args.command]._actions:
+        if action.default is None and getattr(args, action.dest) is None:
+            flag = action.option_strings[0]
+            print(f"heisgeo: {flag} is required (flag or config file)", file=sys.stderr)
             return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

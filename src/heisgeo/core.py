@@ -113,7 +113,7 @@ class FrameVector:
     def norm(self) -> float:
         # The frame is orthonormal, so the metric norm is Euclidean in
         # frame components at every point.
-        return math.sqrt(self.a**2 + self.b**2 + self.c**2)
+        return math.hypot(self.a, self.b, self.c)
 
     @classmethod
     def of(cls, coords) -> "FrameVector":
@@ -134,11 +134,6 @@ class CoordVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v, self.w], dtype=float)
-
-    @classmethod
-    def of(cls, coords) -> "CoordVector":
-        u, v, w = coords
-        return cls(float(u), float(v), float(w))
 
 
 ORIGIN = HeisPoint(0.0, 0.0, 0.0)
@@ -284,17 +279,10 @@ def _bracket_coord(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return const, lin
 
 
-def _bracket_frame_components(i: int, j: int) -> np.ndarray:
-    const, _lin = _bracket_coord(i, j)
-    # Coordinate (0, 0, c) converts to frame components (0, 0, c) at every
-    # point, and the only nonzero bracket is [X, Y] = 2T, so the constant
-    # coordinate part is already the frame expression.
-    return const
-
-
-_BRACKET = np.array(
-    [[_bracket_frame_components(i, j) for j in range(3)] for i in range(3)]
-)
+# Coordinate (0, 0, c) converts to frame components (0, 0, c) at every
+# point, and the only nonzero bracket is [X, Y] = 2T, so the constant
+# coordinate part is already the frame expression.
+_BRACKET = np.array([[_bracket_coord(i, j)[0] for j in range(3)] for i in range(3)])
 
 
 def _curvature_table() -> np.ndarray:

@@ -95,14 +95,24 @@ class TargetUnreachableError(RuntimeError):
 
 
 def cygan_distance(p: HeisPoint, q: HeisPoint) -> float:
-    """Cygan gauge distance; zero iff p = q, symmetric, left-invariant."""
+    """Cygan gauge distance; zero iff p = q, symmetric, left-invariant.
+
+    The fourth powers are taken of the pair dilated by lam = 2^-k, which puts
+    max(|dx|, |dy|, sqrt|cross|) in [0.5, 1]; the dilation and its undoing
+    are exact, so the gauge neither underflows nor overflows anywhere in the
+    double range.  ValueError where dx, dy or the cross term overflows.
+    """
     dx = p.x - q.x
     dy = p.y - q.y
-    planar_sq = dx * dx + dy * dy
     cross = p.z - q.z + p.x * q.y - p.y * q.x
+    if not all(map(math.isfinite, (dx, dy, cross))):
+        raise ValueError(f"the Cygan distance of {p} and {q} overflows")
+    k = math.frexp(max(abs(dx), abs(dy), math.sqrt(abs(cross))))[1]
+    dx, dy, cross = math.ldexp(dx, -k), math.ldexp(dy, -k), math.ldexp(cross, -2 * k)
+    planar_sq = dx * dx + dy * dy
     # sqrt of sqrt keeps exact values (e.g. fourth roots of perfect fourth
     # powers) exact to rounding, unlike a pow(0.25) call.
-    return math.sqrt(math.sqrt(planar_sq * planar_sq + cross * cross))
+    return math.ldexp(math.sqrt(math.sqrt(planar_sq * planar_sq + cross * cross)), k)
 
 
 def dilate(p: HeisPoint, lam: float) -> HeisPoint:
@@ -313,8 +323,8 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest) -> np.ndarray:
         ex, ey, ez = origin_coordinates(r, phi, gamma, s)
         rho = np.hypot(x, y)
         height = np.abs(z)
-        miss = np.sqrt((ex - x) ** 2 + (ey - y) ** 2 + (ez - z) ** 2)
-        scale = np.maximum(1.0, np.sqrt(x * x + y * y + z * z))
+        miss = np.hypot(np.hypot(ex - x, ey - y), ez - z)
+        scale = np.maximum(1.0, np.hypot(rho, z))
         upper = np.where(
             shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf
         )
@@ -461,14 +471,6 @@ def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:
     return float(riemannian_distance_many([(delta.x, delta.y, delta.z)], tol=tol)[0])
 
 
-def _endpoint_grid(gammas, phis, lengths):
-    g = gammas[:, None, None]
-    f = phis[None, :, None]
-    s = lengths[None, None, :]
-    r = np.sqrt(np.clip(1.0 - g * g, 0.0, None))
-    return origin_coordinates(r, f, g, s)
-
-
 def _refine_lattice(center, halfwidth, target, s_cap):
     """Derivative-free shrinking-lattice descent of the endpoint miss."""
     offsets = np.linspace(-1.0, 1.0, 9)
@@ -526,7 +528,9 @@ def brute_force_distance(
     d_phi = phis[1] - phis[0]
     d_s = lengths[1] - lengths[0]
 
-    x, y, z = _endpoint_grid(gammas, phis, lengths)
+    g = gammas[:, None, None]
+    r = np.sqrt(np.clip(1.0 - g * g, 0.0, None))
+    x, y, z = origin_coordinates(r, phis[None, :, None], g, lengths)
     miss = np.sqrt(
         (x - target.x) ** 2 + (y - target.y) ** 2 + (z - target.z) ** 2
     )

@@ -119,12 +119,11 @@ def origin_coordinates(r, phi, gamma, s):
     x = rs_sinc * np.cos(phi + w)
     y = rs_sinc * np.sin(phi + w)
     z = 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
-    # z has no phi dependence; give callers uniformly shaped outputs.
-    full = np.broadcast_shapes(x.shape, y.shape, z.shape)
-    out = []
-    for a in (x, y, z):
-        out.append(a if a.shape == full else np.ascontiguousarray(np.broadcast_to(a, full)))
-    return tuple(out)
+    # x and y depend on every argument and so have the full shape; z has no
+    # r or phi dependence.  Give callers uniformly shaped outputs.
+    if z.shape != x.shape:
+        z = np.ascontiguousarray(np.broadcast_to(z, x.shape))
+    return x, y, z
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,6 @@ class GeodesicSpec:
     def initial_velocity(self) -> FrameVector:
         return FrameVector(self.r * math.cos(self.phi), self.r * math.sin(self.phi), self.gamma)
 
-    def at_origin(self) -> "GeodesicSpec":
-        if self.base == ORIGIN:
-            return self
-        return GeodesicSpec(base=ORIGIN, r=self.r, phi=self.phi, gamma=self.gamma)
-
 
 @dataclass(frozen=True)
 class GeodesicSample:
@@ -199,7 +193,8 @@ def geodesic_from_origin(spec: GeodesicSpec, s: float) -> HeisPoint:
 
 def geodesic_from_point(spec: GeodesicSpec, s: float) -> HeisPoint:
     """Geodesic from an arbitrary base point via left translation."""
-    return group_mul(spec.base, geodesic_from_origin(spec.at_origin(), s))
+    x, y, z = origin_coordinates(spec.r, spec.phi, spec.gamma, float(s))
+    return group_mul(spec.base, HeisPoint(float(x), float(y), float(z)))
 
 
 def exp_map(base: HeisPoint, v: FrameVector) -> HeisPoint:

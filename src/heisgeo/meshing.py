@@ -258,15 +258,14 @@ def _submesh(mesh: TriMesh, keep: np.ndarray) -> TriMesh:
     )
 
 
-def clip_mesh_to_halfspace(
-    mesh: TriMesh, normal, keep_tol: float = 1e-12
-) -> TriMesh:
-    """Keep vertices with <v, normal> <= keep_tol and faces entirely kept.
+def clip_mesh_to_halfspace(mesh: TriMesh, normal) -> TriMesh:
+    """Keep vertices with <v, normal> <= 1e-12 and faces entirely kept.
 
-    The cut boundary is left open (no cap).
+    The fixed slack of 1e-12 keeps vertices that lie on the plane up to
+    rounding.  The cut boundary is left open (no cap).
     """
     n = np.asarray(normal, dtype=float)
-    return _submesh(mesh, mesh.vertices @ n <= keep_tol)
+    return _submesh(mesh, mesh.vertices @ n <= 1e-12)
 
 
 def ball_cutaway_mesh(
@@ -456,10 +455,7 @@ def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoin
         raise ValueError("s_max must be positive")
     s_values = np.linspace(0.0, s_max, n + 1)
     x, y, z = origin_coordinates(spec.r, spec.phi, spec.gamma, s_values)
-    points = []
-    for xi, yi, zi in zip(x, y, z):
-        points.append(group_mul(spec.base, HeisPoint(float(xi), float(yi), float(zi))))
-    return points
+    return [group_mul(spec.base, HeisPoint(*map(float, xyz))) for xyz in zip(x, y, z)]
 
 
 def first_singular_radius(

@@ -364,6 +364,11 @@ class TestExitCodes:
         )
         assert code == 4 and "solver" in err
 
+    @pytest.mark.parametrize("q", ["1e150,0,1e300", "2e154,0,0", "1e160,0,0.5"])
+    def test_uncertifiable_distance(self, capsys, q):
+        code, out, err = run(["distance", "0,0,0", q], capsys)
+        assert code == 4 and out == "" and "cannot certify" in err
+
     def test_console_entrypoint(self):
         result = run_python(["-m", "heisgeo.cli", "distance", "--metric", "cygan",
                              "0,0,0", "3,4,0"])
@@ -595,6 +600,43 @@ def _exit_code(argv):
 
 def _outputs(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+# Line-only arguments of each command with a required option (declared with
+# default None), and a value for each of its required options.
+_NEEDED = {
+    "geodesic": (["--n", "8"], {"gamma": 0.37, "smax": 2}),
+    "sphere": (["--nphi", "8", "--ngamma", "6"], {"radius": 2, "out": "result"}),
+    "surface": (["--ntheta", "6", "--ns", "4"], {"out": "result"}),
+    "figures": (["--nphi", "24", "--ngamma", "48"], {"out_dir": "figs"}),
+}
+_NEEDED_OPTIONS = [
+    (name, action.option_strings[0], action.dest)
+    for name, command in _build_parser()[1].items()
+    for action in command._actions
+    if action.option_strings and action.default is None
+]
+
+
+class TestRequiredOptions:
+    def test_cases_cover_every_required_option(self):
+        listed = {(name, dest) for name, (_, values) in _NEEDED.items() for dest in values}
+        assert listed == {(name, dest) for name, _, dest in _NEEDED_OPTIONS}
+
+    @pytest.mark.parametrize(
+        "name, flag, dest", _NEEDED_OPTIONS, ids=[f"{n}{f}" for n, f, _ in _NEEDED_OPTIONS]
+    )
+    def test_line_or_config_supplies_it(self, capsys, tmp_path, monkeypatch, name, flag, dest):
+        monkeypatch.chdir(tmp_path)
+        line, values = _NEEDED[name]
+        flags = {a.dest: a.option_strings[0] for a in _build_parser()[1][name]._actions}
+        others = [t for key, v in values.items() if key != dest for t in (flags[key], str(v))]
+        code, out, err = run([name, *line, *others], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"heisgeo: {flag} is required (flag or config file)\n"
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "cfg.json").write_text(json.dumps({dest: values[dest]}))
+        assert run([name, *line, *others, "--config", "cfg.json"], capsys)[0] == 0
 
 
 class TestConfigParity:

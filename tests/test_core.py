@@ -121,6 +121,13 @@ class TestFrameAndMetric:
             stack = np.array([v.as_array() for v in frame_at(p)])
             assert abs(np.linalg.det(stack) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize(
+        "v, want", [((3e-162, 4e-162, 0), 5e-162), ((1e-170, 0, 0), 1e-170), ((1e200, 0, 0), 1e200)]
+    )
+    def test_frame_norm_at_extreme_scales(self, v, want):
+        # The sum of squares underflows or overflows at these scales.
+        assert FrameVector(*v).norm() == pytest.approx(want, rel=1e-15)
+
     def test_metric_at_origin_is_identity(self):
         assert np.array_equal(metric_at(ORIGIN).entries, np.eye(3))
 

@@ -80,6 +80,32 @@ class TestCygan:
             cygan_scaling_check(ORIGIN, HeisPoint(1, 0, 0), 0.0)
         assert dilate(HeisPoint(1, 2, 3), 2.0) == HeisPoint(2, 4, 12)
 
+    @pytest.mark.parametrize(
+        "q, want",
+        [((1e-100, 0, 0), 1e-100), ((0, 0, 1e-300), 1e-150),
+         ((1e80, 0, 0), 1e80), ((0, 0, 1e300), 1e150)],
+    )
+    def test_no_underflow_or_overflow(self, q, want):
+        # The fourth powers of these gauges underflow to 0 or overflow to inf.
+        assert cygan_distance(ORIGIN, HeisPoint(*q)) == want
+
+    @pytest.mark.parametrize(
+        "q", [(5e-324, 0, 0), (0, 5e-324, 0), (0, 0, 5e-324), (1e-200, -1e-200, 1e-300),
+              (1e300, 0, 0), (0, 0, 1.7e308)],
+    )
+    def test_distinct_points_are_apart(self, q):
+        assert 0.0 < cygan_distance(ORIGIN, HeisPoint(*q)) < math.inf
+
+    def test_overflowing_cross_term_raises(self):
+        with pytest.raises(ValueError, match="overflows"):
+            cygan_distance(HeisPoint(1e200, 0, 0), HeisPoint(0, 1e200, 0))
+
+    @pytest.mark.parametrize("lam", [2.0**-500, 2.0**500])
+    def test_extreme_power_of_two_dilations_are_exact(self, lam):
+        for p, q in zip(random_points(30, 40), random_points(30, 41)):
+            a, b = cygan_scaling_check(p, q, lam)
+            assert a == b
+
 
 class TestShooting:
     def test_horizontal_target(self):
@@ -308,6 +334,16 @@ class TestCutTimeSolver:
             riemannian_distance_many([[1.0, 0.0, 0.0]], tol=1e-30)
         with pytest.raises(ValueError):
             riemannian_distance_many([[1.0, 0.0, 0.0]], tol=0.0)
+
+    @pytest.mark.parametrize("target", [(1e150, 0, 1e300), (2e154, 0, 0), (1e160, 0, 0.5)])
+    def test_overflowing_targets_raise(self, target):
+        # The squares of these coordinates overflow; a scale computed from
+        # them would be inf and pass any endpoint.
+        with pytest.raises(ShootingConvergenceError):
+            riemannian_distance_many([target])
+        # The tallest target is refused by the candidate bound first.
+        with pytest.raises((ShootingConvergenceError, ValueError)):
+            shoot_candidates(HeisPoint(*target))
 
     @pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
     def test_length_bounds_are_certified(self, monkeypatch, length):

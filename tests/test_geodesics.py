@@ -180,6 +180,29 @@ class TestClosedForm:
                 assert abs(math.hypot(p.x, p.y) - want) < 1e-9
 
 
+class TestOriginCoordinates:
+    @pytest.mark.parametrize(
+        "shapes, full",
+        [
+            # A sphere's gamma rows (n_gamma, 1) against its phi circle.
+            (((7, 1), (12,), (7, 1), ()), (7, 12)),
+            # The oracle's lattice: gamma, phi and s on their own axes.
+            (((64, 1, 1), (1, 64, 1), (64, 1, 1), (512,)), (64, 64, 512)),
+        ],
+    )
+    def test_narrow_height_is_broadcast(self, shapes, full):
+        rng = np.random.default_rng(23)
+        gamma = rng.uniform(-1.0, 1.0, shapes[2])
+        r = np.sqrt(1.0 - gamma * gamma)
+        phi = rng.uniform(0.0, TWO_PI, shapes[1])
+        s = rng.uniform(0.0, 10.0, shapes[3])
+        out = origin_coordinates(r, phi, gamma, s)
+        for a in out:
+            assert a.shape == full and a.flags.c_contiguous
+        # z does not depend on phi: every phi sees the same heights.
+        assert (out[2] == out[2][:, :1]).all()
+
+
 class TestFromPoint:
     def test_base_at_zero_arc_length(self):
         base = HeisPoint(1, 2, 3)
@@ -229,6 +252,12 @@ class TestExpMap:
         got = exp_map(ORIGIN, scaled)
         want = geodesic_from_origin(spec, s)
         assert np.max(np.abs(got.as_array() - want.as_array())) < 1e-12
+
+    @pytest.mark.parametrize("v", [(1e-170, 0.0, 0.0), (3e-162, 4e-162, 0.0)])
+    def test_tiny_vector(self, v):
+        # |v|^2 underflows at these lengths.
+        p = exp_map(ORIGIN, FrameVector(*v))
+        assert p.as_array() == pytest.approx(v, rel=4e-16, abs=0.0)
 
     def test_xt_plane_grid_matches_closed_form(self):
         for theta in np.linspace(0, TWO_PI, 9, endpoint=False):
