@@ -104,7 +104,9 @@ def cygan_distance(p: HeisPoint, q: HeisPoint) -> float:
     """
     dx = p.x - q.x
     dy = p.y - q.y
-    cross = p.z - q.z + p.x * q.y - p.y * q.x
+    # The products are summed first: where dx = dy = 0 they are equal, so the
+    # height difference is kept exactly instead of being lost against them.
+    cross = (p.z - q.z) + (p.x * q.y - p.y * q.x)
     if not all(map(math.isfinite, (dx, dy, cross))):
         raise ValueError(f"the Cygan distance of {p} and {q} overflows")
     k = math.frexp(max(abs(dx), abs(dy), math.sqrt(abs(cross))))[1]

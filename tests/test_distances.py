@@ -96,6 +96,25 @@ class TestCygan:
     def test_distinct_points_are_apart(self, q):
         assert 0.0 < cygan_distance(ORIGIN, HeisPoint(*q)) < math.inf
 
+    def test_height_difference_survives_equal_products(self):
+        # Summed as ((p.z - q.z) + p.x q.y) - p.y q.x, the 1e-20 was lost
+        # against the product 1.0 and the distance came out 0.0.
+        assert cygan_distance(HeisPoint(1, 1, 1e-20), HeisPoint(1, 1, 0)) == 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e150, 1e150),
+        st.floats(-1e150, 1e150),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+    )
+    def test_vertical_offsets_are_apart(self, x, y, z1, z2):
+        # dx = dy = 0: the two products of the cross term are the same
+        # double, so the distance is sqrt|z1 - z2| and positive iff z1 != z2.
+        d = cygan_distance(HeisPoint(x, y, z1), HeisPoint(x, y, z2))
+        assert (d > 0.0) == (z1 != z2)
+        assert math.isclose(d, math.sqrt(abs(z1 - z2)), rel_tol=4 * EPS)
+
     def test_overflowing_cross_term_raises(self):
         with pytest.raises(ValueError, match="overflows"):
             cygan_distance(HeisPoint(1e200, 0, 0), HeisPoint(0, 1e200, 0))

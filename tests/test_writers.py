@@ -1,15 +1,20 @@
 """Mesh files and edges against the value-by-value reference forms.
 
-The writers format each distinct double of a float table once and fill
-the rows from those strings; the references below are the per-value loops,
-and must give the same bytes.  The tables include 0.0 beside -0.0, several
-nan payloads, subnormals and infinities, which a dedup by value instead of
-by bit pattern would print wrongly.  `TriMesh.edges()` keys each edge as one
+The writers format each distinct double of a float table once and gather
+the rows from a byte table of those texts; the references below are the
+per-value loops, and must give the same bytes.  The tables include 0.0
+beside -0.0, several nan payloads, subnormals and infinities, which a dedup
+by value instead of by bit pattern would print wrongly.  The numpy
+formatter is checked against `'%.17g'` on its own, and the figures against
+the SHA-256 pins of the benchmark.  `TriMesh.edges()` keys each edge as one
 integer; the reference is the row-wise `np.unique(axis=0)`.
 """
 
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from heisgeo.meshing import (
     singular_point_closeup,
     sphere_exp_mesh,
 )
+from heisgeo import writers
+from heisgeo.cli import main
 from heisgeo.writers import format_float, write_obj, write_ply
 
 
@@ -191,6 +198,112 @@ def test_percent_format_equals_format_float():
     ]
     values += [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
     assert all("%.17g" % x == format_float(x) for x in values)
+
+
+def _texts(values):
+    """The writers' text of each value, with the numpy formatter on for any table size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(writers, "_NUMPY_MIN", 0)
+        texts, index = writers._float_texts(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    return [bytes(texts[i]).replace(b"\0", b"").decode() for i in index.ravel()]
+
+
+def _patterns(bits):
+    return np.array(bits, dtype=np.int64).view(np.float64)
+
+
+# Doubles in and around the numpy formatter's range 1e-4 <= |v| < 1e17:
+# biased exponents 1009 .. 1080 are 2^-14 .. 2^57.
+NEAR_RANGE = st.builds(
+    lambda sign, exponent, mantissa: (exponent << 52 | mantissa) - (sign << 63),
+    st.integers(0, 1),
+    st.integers(1009, 1080),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), NEAR_RANGE), min_size=1, max_size=40))
+def test_texts_equal_percent_17g_on_bit_patterns(bits):
+    values = _patterns(bits)
+    assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def _powers_of_ten_neighbours():
+    """The 40 doubles on either side of each +-10^k, k = -5 .. 17."""
+    bits = np.array([float(f"1e{k}") for k in range(-5, 18)]).view(np.int64)
+    near = (bits[:, None] + np.arange(-40, 41)).ravel()
+    return np.concatenate([_patterns(near), -_patterns(near)])
+
+
+def _ties():
+    """Doubles whose 18th significant digit is a final 5, for X = -4 .. 15.
+
+    `(2D + 1) 5 10^(X - 17)` with `2D + 1 = m 5^(16 - X)` is `m 2^(X - 17)`,
+    a double for odd `m < 2^53`; `%.17g` must round it half to even.
+    """
+    values = []
+    for x in range(-4, 16):
+        m = 3 * 10**16 // 5 ** (16 - x) | 1
+        values += [math.ldexp(m + 2 * i, x - 17) for i in range(50)]
+    return np.array(values)
+
+
+EDGES = {
+    "powers_of_ten": _powers_of_ten_neighbours(),
+    "ties": np.concatenate([_ties(), -_ties(), [10.0**15 + 0.5, 10.0**15 + 0.25]]),
+    # The largest doubles below 10^(X+1) sit at least 2^-54 10^(X+1) below
+    # it, so their 17 digits never round up to the next power of ten.
+    "below_powers": np.nextafter(np.array([float(f"1e{k}") for k in range(-4, 18)]), 0),
+    "specials": np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, -1e-4, 1e17, -1e17],
+        [math.inf, -math.inf],
+        NANS,
+        _patterns([0x7FF0000000000001, 0x7FF4000000000000, -1]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_texts_equal_percent_17g_on_edges(name):
+    values = EDGES[name]
+    assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_texts_survive_a_log10_one_off(shift, monkeypatch):
+    # The exponent X starts from floor(log10|v|), which another libm may
+    # round across a power of ten; the exact product must move it back.  A
+    # log10 shifted by half a decade is one off on about half the values.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    values = np.concatenate([EDGES["powers_of_ten"], EDGES["ties"], EDGES["below_powers"]])
+    assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 1001, 10_004])
+def test_index_texts_equal_str(start, n, monkeypatch):
+    for numpy_min in (0, 10**9):
+        monkeypatch.setattr(writers, "_NUMPY_MIN", numpy_min)
+        texts = writers._index_texts(start, n)
+        assert [bytes(t).replace(b"\0", b"").decode() for t in texts] == [
+            str(i) for i in range(start, start + n)
+        ]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+FIGURE_PINS = json.loads(REFERENCE.read_text())["figure_suite"]
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_PINS))
+def test_figure_bytes_match_benchmark_pins(key, tmp_path):
+    config = dict(item.split("=") for item in key.split("/"))
+    argv = ["figures", "--out-dir", str(tmp_path), "--nphi", config["nphi"],
+            "--ngamma", config["ngamma"], "--format", config["format"]]
+    assert main(argv) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+    assert digests == FIGURE_PINS[key]
 
 
 def test_edges_match_rowwise_unique(mesh):
