@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import FRAME_NAMES, HeisPoint, group_inv, group_mul, nabla, sectional_curvature
+from .core import FRAME_NAMES, HeisPoint, left_quotient, nabla, sectional_curvature
 from .distances import (
     ShootingConvergenceError,
     TargetUnreachableError,
@@ -195,10 +195,6 @@ def _write_mesh(mesh, out: str, fmt: str) -> None:
 
 
 def _cmd_geodesic(args) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
-    if not args.smax > 0.0:
-        raise ValueError("--smax must be positive")
     spec = GeodesicSpec.from_direction(args.gamma, args.phi, base=args.base)
     points = geodesic_polyline(spec, args.smax, args.n)
     s_values = np.linspace(0.0, args.smax, args.n + 1)
@@ -217,10 +213,6 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
-    if not args.radius > 0.0:
-        raise ValueError("--radius must be positive")
-    if not args.metric_tol > 0.0:
-        raise ValueError("--metric-tol must be positive")
     if args.half:
         mesh = ball_cutaway_mesh(
             args.radius, args.cut_normal, n_phi=args.nphi, n_gamma=args.ngamma
@@ -236,8 +228,6 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    if args.ntheta < 3 or args.ns < 3:
-        raise ValueError("--ntheta and --ns must be at least 3")
     mesh = plane_exp_surface(
         theta_range=(args.theta_min, args.theta_max),
         s_range=(args.smin, args.smax),
@@ -311,10 +301,7 @@ def _cmd_distance(args) -> int:
         _write_lines([format_float(cygan_distance(args.p, args.q))], args.out)
         return EXIT_OK
     if args.all_candidates:
-        if args.p == args.q:
-            raise ValueError("candidate listing needs two distinct points")
-        delta = group_mul(group_inv(args.p), args.q)
-        candidates = shoot_candidates(delta, tol=args.tol)
+        candidates = shoot_candidates(left_quotient(args.p, args.q), tol=args.tol)
         lines = []
         for cand in candidates:
             record = {

@@ -55,6 +55,7 @@ __all__ = [
     "FRAME_NAMES",
     "group_mul",
     "group_inv",
+    "left_quotient",
     "commutator",
     "left_jacobian",
     "frame_at",
@@ -73,7 +74,7 @@ __all__ = [
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"coordinates must be finite, got {values!r}")
+            raise ValueError(f"a coordinate overflows or is not finite: {values!r}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,15 @@ def group_mul(p: HeisPoint, q: HeisPoint) -> HeisPoint:
 def group_inv(p: HeisPoint) -> HeisPoint:
     """Group inverse; p * p^-1 = identity exactly up to rounding."""
     return HeisPoint(-p.x, -p.y, -p.z)
+
+
+def left_quotient(p: HeisPoint, q: HeisPoint) -> HeisPoint:
+    """p^-1 * q from the differences of p and q (the p.x * p.y terms cancel):
+    the origin only for p == q, and exact where the planar coordinates agree.
+    """
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return HeisPoint(dx, dy, (q.z - p.z) + (p.y * dx - p.x * dy))
 
 
 def commutator(p: HeisPoint, q: HeisPoint) -> HeisPoint:

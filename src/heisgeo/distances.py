@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ORIGIN, HeisPoint, group_inv, group_mul
+from .core import ORIGIN, HeisPoint, left_quotient
 from .geodesics import TWO_PI, GeodesicSpec, _sinc, _sin_defect, origin_coordinates
 
 __all__ = [
@@ -100,17 +100,11 @@ def cygan_distance(p: HeisPoint, q: HeisPoint) -> float:
     The fourth powers are taken of the pair dilated by lam = 2^-k, which puts
     max(|dx|, |dy|, sqrt|cross|) in [0.5, 1]; the dilation and its undoing
     are exact, so the gauge neither underflows nor overflows anywhere in the
-    double range.  ValueError where dx, dy or the cross term overflows.
+    double range.  ValueError where left_quotient(p, q) overflows.
     """
-    dx = p.x - q.x
-    dy = p.y - q.y
-    # The products are summed first: where dx = dy = 0 they are equal, so the
-    # height difference is kept exactly instead of being lost against them.
-    cross = (p.z - q.z) + (p.x * q.y - p.y * q.x)
-    if not all(map(math.isfinite, (dx, dy, cross))):
-        raise ValueError(f"the Cygan distance of {p} and {q} overflows")
-    k = math.frexp(max(abs(dx), abs(dy), math.sqrt(abs(cross))))[1]
-    dx, dy, cross = math.ldexp(dx, -k), math.ldexp(dy, -k), math.ldexp(cross, -2 * k)
+    d = left_quotient(p, q)
+    k = math.frexp(max(abs(d.x), abs(d.y), math.sqrt(abs(d.z))))[1]
+    dx, dy, cross = math.ldexp(d.x, -k), math.ldexp(d.y, -k), math.ldexp(d.z, -2 * k)
     planar_sq = dx * dx + dy * dy
     # sqrt of sqrt keeps exact values (e.g. fourth roots of perfect fourth
     # powers) exact to rounding, unlike a pow(0.25) call.
@@ -420,7 +414,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if target == ORIGIN:
-        raise ValueError("target must differ from the origin")
+        raise ValueError("target must be distinct from the origin")
 
     x, y, z = target.as_array()
     rho = math.hypot(x, y)
@@ -469,7 +463,7 @@ def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:
     Left-invariant by construction: the problem is translated to
     distance(0, p^-1 * q) and solved by riemannian_distance_many.
     """
-    delta = group_mul(group_inv(p), q)
+    delta = left_quotient(p, q)
     return float(riemannian_distance_many([(delta.x, delta.y, delta.z)], tol=tol)[0])
 
 

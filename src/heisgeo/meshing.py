@@ -276,6 +276,11 @@ def ball_cutaway_mesh(
 ) -> TriMesh:
     """Geodesic sphere clipped to one side of a plane through the origin."""
     n = np.asarray(cut_plane_normal, dtype=float)
+    if not np.isfinite(n).all():
+        raise ValueError("cut plane normal must be finite")
+    # Scaled by the power of two that brings max |n_i| into [0.5, 1): the norm
+    # neither overflows nor underflows, and every 2^k n gives one unit normal.
+    n = np.ldexp(n, -math.frexp(np.max(np.abs(n)))[1])
     norm = np.linalg.norm(n)
     if not norm > 0.0:
         raise ValueError("cut plane normal must be nonzero")
@@ -291,6 +296,8 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     geodesic exists and the vertex no longer lies on the metric sphere.
     Attaches the per-vertex shortfall as scalar channel "distance_defect".
     """
+    if not tol > 0.0:
+        raise ValueError("metric clip tol must be positive")
     defects = radius - riemannian_distance_many(mesh.vertices)
     keep = defects <= tol
     clipped = _submesh(mesh, keep)
@@ -452,7 +459,7 @@ def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoin
     if n < 2:
         raise ValueError("polyline needs n >= 2 segments")
     if not s_max > 0.0:
-        raise ValueError("s_max must be positive")
+        raise ValueError("polyline needs arc length smax > 0")
     s_values = np.linspace(0.0, s_max, n + 1)
     x, y, z = origin_coordinates(spec.r, spec.phi, spec.gamma, s_values)
     return [group_mul(spec.base, HeisPoint(*map(float, xyz))) for xyz in zip(x, y, z)]

@@ -193,6 +193,20 @@ class TestSurfaceCommand:
         assert code == 0
         assert out.read_text().startswith("v 0 0 0")
 
+    def test_two_rows(self, capsys, tmp_path):
+        # (3, 2) is plane_exp_surface's minimum resolution, and the command's.
+        out = tmp_path / "surf.obj"
+        code, _, _ = run(
+            ["surface", "--smax", "3", "--ntheta", "16", "--ns", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        expected = tmp_path / "expected.obj"
+        writers.write_obj(
+            meshing.plane_exp_surface(s_range=(0.0, 3.0), resolution=(16, 2)), expected
+        )
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestDistanceCommand:
     def test_cygan_values(self, capsys):
@@ -244,6 +258,14 @@ class TestDistanceCommand:
         assert len(records) == 3 and not any("axis_family" in r for r in records)
         code, out, _ = run(argv, capsys)
         assert code == 0 and records[0]["s"] == float(out)
+
+    def test_height_difference_is_kept(self, capsys):
+        # The x * y products of the group law are 1 here, 1e20 times the
+        # height difference.
+        code, out, _ = run(["distance", "1,1,0", "1,1,1e-20"], capsys)
+        assert code == 0 and out == "9.9999999999999995e-21\n"
+        code, out, _ = run(["distance", "1,1,0", "1,1,1e-20", "--all-candidates"], capsys)
+        assert code == 0 and json.loads(out.splitlines()[0])["s"] == 1e-20
 
     def test_candidates_need_distinct_points(self, capsys):
         code, _, err = run(
@@ -347,6 +369,26 @@ class TestExitCodes:
     def test_invalid_values(self, capsys):
         code, _, err = run(["geodesic", "--gamma", "0", "--smax", "-1"], capsys)
         assert code == 2 and "smax" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geodesic", "--gamma", "0", "--smax", "1", "--n", "1"],
+            ["geodesic", "--gamma", "0", "--smax", "0"],
+            ["sphere", "--radius", "0", "--nphi", "8", "--ngamma", "6"],
+            ["sphere", "--radius", "-1", "--nphi", "8", "--ngamma", "6", "--half"],
+            ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
+             "--metric-tol", "nan"],
+            ["surface", "--ntheta", "2"],
+            ["surface", "--ns", "1"],
+            ["distance", "1,2,3", "1,2,3", "--all-candidates"],
+        ],
+    )
+    def test_values_the_library_rejects(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and err.startswith("heisgeo: ")
+        assert not out.exists()
 
     def test_io_failure(self, capsys, tmp_path):
         code, _, err = run(

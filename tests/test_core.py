@@ -1,5 +1,7 @@
 """Group algebra, metric, connection and curvature checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from heisgeo.core import (
     group_mul,
     inner_product,
     left_jacobian,
+    left_quotient,
     metric_at,
     nabla,
     sectional_curvature,
@@ -77,6 +80,44 @@ class TestGroupLaw:
             HeisPoint(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError):
             HeisPoint(0.0, float("inf"), 0.0)
+
+
+class TestLeftQuotient:
+    def test_is_the_inverse_times_the_point_on_integers(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            p, q = (HeisPoint(*rng.integers(-9, 10, 3).astype(float)) for _ in range(2))
+            assert left_quotient(p, q) == group_mul(group_inv(p), q)
+
+    def test_origin_only_for_equal_points(self):
+        for p in random_points(20, 8):
+            assert left_quotient(p, p) == ORIGIN
+            q = HeisPoint(p.x, p.y, np.nextafter(p.z, np.inf))
+            assert left_quotient(p, q) != ORIGIN
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_nearby_pairs_match_exact_arithmetic(self, scale):
+        # The differences are rounded once each and the error of the height
+        # is a few units of |dz| + |p.y dx| + |p.x dy|, which is small next
+        # to the products p.x q.y of the group law at every offset.
+        eps = Fraction(np.finfo(float).eps)
+        rng = np.random.default_rng(9)
+        for _ in range(400):
+            p = HeisPoint(*scale * rng.uniform(-1, 1, 3))
+            step = 10.0 ** rng.uniform(-9, -3, 3) * rng.choice([-1.0, 1.0], 3)
+            planar = rng.random() < 0.5
+            q = HeisPoint(p.x + planar * step[0] * scale, p.y + planar * step[1] * scale,
+                          p.z + step[2] * scale**2)
+            dx = Fraction(q.x) - Fraction(p.x)
+            dy = Fraction(q.y) - Fraction(p.y)
+            dz = Fraction(q.z) - Fraction(p.z)
+            exact_z = dz + Fraction(p.y) * dx - Fraction(p.x) * dy
+            got = left_quotient(p, q)
+            assert (got.x, got.y) == (float(dx), float(dy))
+            if not planar:
+                assert got.z == float(dz)
+            bound = 4 * eps * (abs(dz) + abs(p.y * dx) + abs(p.x * dy))
+            assert abs(Fraction(got.z) - exact_z) <= bound
 
 
 class TestCommutator:

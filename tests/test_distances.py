@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heisgeo.core import ORIGIN, FrameVector, HeisPoint, group_mul
@@ -241,6 +241,20 @@ class TestRiemannianDistance:
             g = HeisPoint(*rng.uniform(-2, 2, 3))
             lhs = riemannian_distance(group_mul(g, p), group_mul(g, q))
             assert abs(lhs - riemannian_distance(p, q)) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e150, 1e150),
+        st.floats(-1e150, 1e150),
+        st.floats(-1e300, 1e300),
+        st.floats(5e-324, math.pi),
+    )
+    def test_vertical_offsets_are_exact(self, x, y, z, h):
+        # Up to pi the vertical line is the shortest path, so the distance is
+        # the height difference itself, however large x * y is.
+        p, q = HeisPoint(x, y, z), HeisPoint(x, y, z + h)
+        assume(q.z - p.z <= math.pi)
+        assert riemannian_distance(p, q) == q.z - p.z
 
     def test_agrees_with_oracle_on_random_targets(self):
         for target in random_points(6, 46):

@@ -30,6 +30,7 @@ from heisgeo.meshing import (
     sphere_proximity_events,
 )
 from heisgeo.meshing import _close_pairs
+from heisgeo.writers import write_obj
 
 TWO_PI = 2.0 * math.pi
 
@@ -501,6 +502,25 @@ class TestCutaway:
     def test_normal_validation(self):
         with pytest.raises(ValueError):
             ball_cutaway_mesh(1.0, (0, 0, 0))
+        for normal in [(0, math.inf, 0), (0, math.nan, 0), (-math.inf, 0, 1)]:
+            with pytest.raises(ValueError, match="finite"):
+                ball_cutaway_mesh(1.0, normal)
+
+    def test_normal_magnitude_does_not_matter(self, tmp_path):
+        # The norm of (0, 1e200, 1e200) overflows and that of
+        # (0, 1e-170, 1e-170) underflows unless the normal is scaled first.
+        # Scaled by an exact power of two, every 2^k (0, 1, 1) gives the
+        # same unit normal, so the same file.
+        base = ball_cutaway_mesh(1.0, (0, 1, 1), n_phi=16, n_gamma=12)
+        expected = tmp_path / "expected.obj"
+        write_obj(base, expected)
+        for k in [*range(-1070, 1000, 45), 1000]:
+            got = tmp_path / "got.obj"
+            write_obj(ball_cutaway_mesh(1.0, (0, 2.0**k, 2.0**k), n_phi=16, n_gamma=12), got)
+            assert got.read_bytes() == expected.read_bytes(), k
+        for scale in (1e200, 1e-170):
+            half = ball_cutaway_mesh(1.0, (0, scale, scale), n_phi=16, n_gamma=12)
+            np.testing.assert_array_equal(half.vertices, base.vertices)
 
     def test_generic_halfspace_clip(self):
         mesh = sphere_exp_mesh(SphereGrid(16, 12, 1.0))
@@ -521,6 +541,12 @@ class TestMetricClip:
         kept = {tuple(np.round(v, 9)) for v in clipped.vertices}
         assert tuple(np.round(mesh.vertices[0], 9)) not in kept
         assert tuple(np.round(mesh.vertices[-1], 9)) not in kept
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        mesh = sphere_exp_mesh(SphereGrid(8, 8, 1.0))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            clip_sphere_to_metric(mesh, 1.0, tol=tol)
 
     def test_small_sphere_untouched(self):
         mesh = sphere_exp_mesh(SphereGrid(8, 8, 1.0))
