@@ -147,7 +147,7 @@ def group_mul(p: HeisPoint, q: HeisPoint) -> HeisPoint:
     return HeisPoint(
         p.x + q.x,
         p.y + q.y,
-        p.z + q.z + p.x * q.y - p.y * q.x,
+        (p.z + q.z) + (p.x * q.y - p.y * q.x),
     )
 
 

@@ -204,36 +204,34 @@ def _window_geodesics(t, rho, end):
 def _solve_increasing(residual, x, lo, hi, *params):
     """Root in [lo, hi] of an increasing residual(x, *params), vectorized.
 
-    params are per-entry arrays, such as rho, |z| and the window's end.
-    Safeguarded Newton: every evaluation shrinks the bracket by the sign of
-    the residual, and a step that leaves the bracket is replaced by
-    bisection.  An entry stops on an exact zero, after a Newton step below
-    _CUT_STEP_TOL relative (the convergence is quadratic, so the point it
-    lands on is accurate to rounding), or when its bracket has collapsed to
-    rounding.  Entries still moving at the iteration cap return their last
-    iterate, for the caller's certificate to judge.
+    lo, hi and params (such as rho, |z| and the window's end) broadcast
+    against x.  Safeguarded Newton: every evaluation shrinks the bracket by
+    the sign of the residual, and a step that leaves the bracket is replaced
+    by bisection.  An entry stops on an exact zero, after a Newton step
+    below _CUT_STEP_TOL relative (the convergence is quadratic, so the point
+    it lands on is accurate to rounding), or when its bracket has collapsed
+    to rounding; a stopped entry keeps its x, lo and hi.  Entries still
+    moving at the iteration cap return their last iterate, for the caller's
+    certificate to judge.
     """
-    x, lo, hi = x.copy(), lo.copy(), hi.copy()
-    active = np.arange(x.size)
+    done = np.zeros_like(x, dtype=bool)
     for _ in range(_CUT_ITERATIONS):
-        if active.size == 0:
+        if done.all():
             break
-        xa, la, ha = x[active], lo[active], hi[active]
-        value, slope = residual(xa, *(p[active] for p in params))
-        la = np.where(value < 0.0, xa, la)
-        ha = np.where(value > 0.0, xa, ha)
-        new = xa - value / slope
-        newton = (new >= la) & (new <= ha)
-        new = np.where(newton, new, 0.5 * (la + ha))
+        value, slope = residual(x, *params)
+        lo = np.where(~done & (value < 0.0), x, lo)
+        hi = np.where(~done & (value > 0.0), x, hi)
+        new = x - value / slope
+        newton = (new >= lo) & (new <= hi)
+        new = np.where(newton, new, 0.5 * (lo + hi))
         root = value == 0.0
-        done = (
+        stop = (
             root
-            | (newton & (np.abs(new - xa) <= _CUT_STEP_TOL * np.abs(new)))
-            | (ha - la <= 4.0 * _EPS * np.abs(ha))
+            | (newton & (np.abs(new - x) <= _CUT_STEP_TOL * np.abs(new)))
+            | (hi - lo <= 4.0 * _EPS * np.abs(hi))
         )
-        x[active] = np.where(root, xa, new)
-        lo[active], hi[active] = la, ha
-        active = active[~done]
+        x = np.where(done | root, x, new)
+        done |= stop
     return x
 
 
@@ -269,11 +267,10 @@ def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
         i = np.flatnonzero((rho > 0.0) & (height <= split))
         if i.size:
             rho_i, h = rho[i], height[i]
-            top = np.full(i.size, 0.5 * math.pi)
             # F is convex with F'(0) = 1 + rho^2/3: its tangent at 0 starts
             # Newton at or above the root.
-            start = np.minimum(h / (1.0 + rho_i * rho_i / 3.0), top)
-            w = _solve_increasing(_near_half, start, np.zeros(i.size), top, rho_i, h)
+            start = np.minimum(h / (1.0 + rho_i * rho_i / 3.0), 0.5 * math.pi)
+            w = _solve_increasing(_near_half, start, 0.0, 0.5 * math.pi, rho_i, h)
             sinc = _sinc(w)
             # Where w and rho are both subnormal, s is too, and gamma = w / s
             # and r would keep only the few digits s has.  Scaling by 2^600
@@ -287,7 +284,6 @@ def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
         i = np.flatnonzero(~axis & (height > split))
         if i.size:
             rho_i, h = rho[i], height[i]
-            end = np.full(i.size, math.pi)
             # |z| >= (pi/2)(1 + q^2/2) bounds t above.  The start takes the
             # larger of the far-axis estimate pi (1 + q^2/2) = |z| and the
             # small-q estimate w = |z|.
@@ -295,8 +291,8 @@ def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
             wide = np.sqrt(np.maximum(2.0 * (h / math.pi - 1.0) - rho_i * rho_i, 0.0))
             turn = rho_i * np.tan(np.minimum(h, math.pi) - 0.5 * math.pi)
             start = np.minimum(np.maximum(wide, turn), top)
-            t = _solve_increasing(_window, start, np.zeros(i.size), top, rho_i, h, end)
-            s[i], gamma[i], r[i] = _window_geodesics(t, rho_i, end)
+            t = _solve_increasing(_window, start, 0.0, top, rho_i, h, math.pi)
+            s[i], gamma[i], r[i] = _window_geodesics(t, rho_i, math.pi)
 
         gamma = np.where(z < 0.0, -gamma, gamma)
         phi = np.arctan2(y, x) - gamma * s
@@ -351,28 +347,27 @@ def _winding_geodesics(rho: float, height: float):
     k = np.arange(1, int(height // math.pi) + 1)
     kpi = k * math.pi
     end = (k + 1) * math.pi
-    rho_k = np.full(k.size, rho)
-    z_k = np.full(k.size, height)
-    # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
-    lo = -(1.0 + 2.0 * rho / kpi)
-    t_min = _solve_increasing(_window_slope, lo, lo, np.zeros(k.size), rho_k, end)
-    g_min = _window(t_min, rho_k, z_k, end)[0]
-    double = np.abs(g_min) <= 4.0 * _EPS * height
-    i = np.flatnonzero((g_min < 0.0) & ~double)
-    # G_k >= k pi (1 + t^2/2) + rho t/2 - |z| puts both roots inside
-    # [left, right].
-    right = np.sqrt(2.0 * height / kpi[i])
-    left = -(0.5 * rho + np.sqrt(0.25 * rho * rho + 2.0 * kpi[i] * height)) / kpi[i]
-    params = (rho_k[i], z_k[i], end[i])
-    t = np.concatenate(
-        [
-            t_min[double],
-            _solve_increasing(_falling, left, left, t_min[i], *params),
-            _solve_increasing(_window, right, t_min[i], right, *params),
-        ]
-    )
-    end = np.concatenate([end[double], end[i], end[i]])
-    return _window_geodesics(t, rho, end)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
+        lo = -(1.0 + 2.0 * rho / kpi)
+        t_min = _solve_increasing(_window_slope, lo, lo, 0.0, rho, end)
+        g_min = _window(t_min, rho, height, end)[0]
+        double = np.abs(g_min) <= 4.0 * _EPS * height
+        i = np.flatnonzero((g_min < 0.0) & ~double)
+        # G_k >= k pi (1 + t^2/2) + rho t/2 - |z| puts both roots inside
+        # [left, right].
+        right = np.sqrt(2.0 * height / kpi[i])
+        left = -(0.5 * rho + np.sqrt(0.25 * rho * rho + 2.0 * kpi[i] * height)) / kpi[i]
+        params = (rho, height, end[i])
+        t = np.concatenate(
+            [
+                t_min[double],
+                _solve_increasing(_falling, left, left, t_min[i], *params),
+                _solve_increasing(_window, right, t_min[i], right, *params),
+            ]
+        )
+        end = np.concatenate([end[double], end[i], end[i]])
+        return _window_geodesics(t, rho, end)
 
 
 def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:

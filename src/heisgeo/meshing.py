@@ -387,9 +387,6 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     threshold = _PROXIMITY_RATIO * float(np.median(edge_lengths))
 
     pairs = _close_pairs(mesh.vertices, threshold)
-    if pairs.size == 0:
-        return []
-
     # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
     # ring formula also puts each pole one ring beyond its neighbor ring.
     ring, col = np.divmod(pairs - 1, grid.n_phi)
@@ -434,12 +431,15 @@ def singular_point_closeup(
     The sphere is scanned at the detection resolution; among the contact
     events the one closest to the z-axis (ties broken towards the poles)
     selects a gamma neighborhood of half-width `window`, which is re-meshed
-    over the full phi circle at the requested patch resolution.  Raises
-    NoSingularityError when the sphere has no self-contact, i.e. the radius
-    is below the first conjugate radius.
+    over the full phi circle at the requested patch resolution, at least
+    (3, 3) (ValueError).  Raises NoSingularityError when the sphere has no
+    self-contact, i.e. the radius is below the first conjugate radius.
     """
     if not window > 0.0:
         raise ValueError("window must be positive")
+    n_phi, n_gamma = resolution
+    if n_phi < 3 or n_gamma < 3:
+        raise ValueError("closeup resolution needs n_phi >= 3 and n_gamma >= 3")
     grid = SphereGrid(n_phi=detection_grid[0], n_gamma=detection_grid[1], radius=radius)
     events = sphere_proximity_events(grid)
     if not events:
@@ -449,9 +449,7 @@ def singular_point_closeup(
     center = events[0].gamma_mid
     lo = max(-1.0, center - window)
     hi = min(1.0, center + window)
-    n_phi, n_gamma = resolution
-    gamma_rows = np.linspace(lo, hi, max(n_gamma, 3))
-    return _revolved_exp_mesh(gamma_rows, max(n_phi, 3), radius)
+    return _revolved_exp_mesh(np.linspace(lo, hi, n_gamma), n_phi, radius)
 
 
 def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoint]:

@@ -382,6 +382,12 @@ class TestExitCodes:
             ["surface", "--ntheta", "2"],
             ["surface", "--ns", "1"],
             ["distance", "1,2,3", "1,2,3", "--all-candidates"],
+            ["geodesic", "--gamma", "1.5", "--smax", "1"],
+            # The Cygan path takes no tolerance, so the command checks these.
+            ["distance", "0,0,0", "1,0,0", "--tol", "0"],
+            ["distance", "0,0,0", "1,0,0", "--tol", "-1"],
+            ["distance", "0,0,0", "1,0,0", "--tol", "nan"],
+            ["distance", "0,0,0", "1,0,0", "--metric", "cygan", "--all-candidates"],
         ],
     )
     def test_values_the_library_rejects(self, capsys, tmp_path, argv):
@@ -410,6 +416,12 @@ class TestExitCodes:
     def test_uncertifiable_distance(self, capsys, q):
         code, out, err = run(["distance", "0,0,0", q], capsys)
         assert code == 4 and out == "" and "cannot certify" in err
+
+    def test_no_numpy_warning_on_stderr(self):
+        result = run_python(["-m", "heisgeo.cli", "distance", "--all-candidates",
+                             "0,0,0", "1e102,0,3.1416"])
+        assert result.returncode == 0 and result.stderr == ""
+        assert json.loads(result.stdout)["s"] == 1e102
 
     def test_console_entrypoint(self):
         result = run_python(["-m", "heisgeo.cli", "distance", "--metric", "cygan",
@@ -558,6 +570,14 @@ class TestConfigFile:
             capsys,
         )
         assert code == 2 and "radios" in err
+
+    def test_array_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"radius": 2.0}]))
+        out = tmp_path / "x.obj"
+        code, stdout, err = run(["sphere", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and "JSON object" in err
+        assert not out.exists()
 
     def test_positional_key_rejected(self, capsys, tmp_path):
         # Positional arguments come from the line only; a key naming one

@@ -75,6 +75,11 @@ class TestGroupLaw:
             rhs = group_mul(a, group_mul(b, c)).as_array()
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_small_height_is_kept(self):
+        # The cross term is summed before it meets the heights.
+        got = group_mul(HeisPoint(-1.0, -1.0, 0.0), HeisPoint(1.0, 1.0, 1e-20))
+        assert got == HeisPoint(0.0, 0.0, 1e-20)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             HeisPoint(float("nan"), 0.0, 0.0)

@@ -1,6 +1,7 @@
 """Cygan metric, geodesic shooting, and the grid-search oracle."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -187,9 +188,20 @@ class TestShooting:
         with pytest.raises(ValueError):
             shoot_candidates(ORIGIN)
 
+    def test_no_numpy_warning(self):
+        # Overflow inside the winding-window solves is judged by the
+        # certificate, not reported as a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(shoot_candidates(HeisPoint(1e102, 0.0, 3.1416))) == 1
+            with pytest.raises(ShootingConvergenceError):
+                shoot_candidates(HeisPoint(1e154, 0.0, math.pi))
+
     def test_unreachable_tolerance(self):
         with pytest.raises(ShootingConvergenceError):
             shoot_candidates(HeisPoint(1, 0, 0), tol=1e-30)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            shoot_candidates(HeisPoint(1, 0, 0), tol=0.0)
 
     def test_deduplication(self):
         sols = shoot_candidates(HeisPoint(1.2, 0.3, 0.4))

@@ -302,6 +302,11 @@ class TestCloseup:
         with pytest.raises(ValueError):
             singular_point_closeup(5.0, window=0.0)
 
+    @pytest.mark.parametrize("resolution", [(2, 1), (2, 48), (96, 2)])
+    def test_resolution_validation(self, resolution):
+        with pytest.raises(ValueError, match="closeup resolution"):
+            singular_point_closeup(5.0, resolution=resolution)
+
 
 class TestPlaneSurface:
     def test_contains_exact_axes(self):
