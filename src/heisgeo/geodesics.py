@@ -39,7 +39,10 @@ The integrator solves the equivalent first-order system
     x' = alpha,  y' = beta,  z' = gamma - alpha*y + beta*x
 
 with fixed-step classical RK4.  It exists as an independent check of the
-closed form; fixed stepping keeps runs bit-for-bit reproducible.
+closed form; fixed stepping keeps runs bit-for-bit reproducible.  One RK4
+step runs over the six rows (x, y, z, alpha, beta, gamma): Python floats
+for one geodesic, arrays for a batch, rounded in the same order, so a
+geodesic has the same bits alone or in a batch.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ _UNIT_TOL = 1e-12
 def _sinc(w):
     """sin(w)/w, equal to 1 at w = 0; stable for all w."""
     w = np.asarray(w, dtype=float)
-    safe = np.where(w == 0.0, 1.0, w)
-    return np.where(w == 0.0, 1.0, np.sin(safe) / safe)
+    zero = w == 0.0
+    safe = np.where(zero, 1.0, w)
+    return np.where(zero, 1.0, np.sin(safe) / safe)
 
 
 def _sin_defect(w):
@@ -91,17 +95,21 @@ def _sin_defect(w):
     """
     w = np.asarray(w, dtype=float)
     w2 = w * w
+    w4 = w2 * w2
+    w6 = w4 * w2
+    w8 = w6 * w2
     series = (
         1.0 / 6.0
         - w2 / 120.0
-        + w2 * w2 / 5040.0
-        - w2 * w2 * w2 / 362880.0
-        + w2 * w2 * w2 * w2 / 39916800.0
-        - w2 * w2 * w2 * w2 * w2 / 6227020800.0
+        + w4 / 5040.0
+        - w6 / 362880.0
+        + w8 / 39916800.0
+        - w8 * w2 / 6227020800.0
     )
-    safe = np.where(np.abs(w) < 0.5, 1.0, w)
+    small = np.abs(w) < 0.5
+    safe = np.where(small, 1.0, w)
     direct = (safe - np.sin(safe)) / (safe * safe * safe)
-    return np.where(np.abs(w) < 0.5, series, direct)
+    return np.where(small, series, direct)
 
 
 def origin_coordinates(r, phi, gamma, s):
@@ -210,17 +218,55 @@ def exp_map(base: HeisPoint, v: FrameVector) -> HeisPoint:
     return geodesic_from_point(spec, length)
 
 
-def _rhs(state: np.ndarray, out: np.ndarray) -> None:
-    """Right-hand side of the 6-dimensional geodesic system, into out.
+def _rk4(rows, h, n_steps):
+    """n_steps of classical RK4 from rows (x, y, z, alpha, beta, gamma).
 
-    state and out have rows (x, y, z, alpha, beta, gamma) over the batch;
-    row 5 of out (d gamma / ds) is left as it is, zero.
+    The rows are floats for one geodesic or arrays for a batch; returns
+    the n_steps + 1 row tuples.  Every sum and product is rounded in the
+    order of v + (c h) k and v + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
-    x, y, _z, a, b, g = state
-    out[:2] = state[3:5]
-    out[2] = g - a * y + b * x
-    out[3] = -2.0 * g * b
-    out[4] = 2.0 * g * a
+
+    def rhs(x, y, _z, a, b, g):
+        return a, b, g - a * y + b * x, -2.0 * g * b, 2.0 * g * a, 0.0
+
+    states = [rows]
+    for _ in range(n_steps):
+        k = [rhs(*rows)]
+        for c in (0.5 * h, 0.5 * h, h):
+            k.append(rhs(*[v + c * dv for v, dv in zip(rows, k[-1])]))
+        rows = tuple(
+            v + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            for v, k1, k2, k3, k4 in zip(rows, *k)
+        )
+        states.append(rows)
+    return states
+
+
+def _initial_rows(gammas, phis, bases):
+    """Starting rows (x, y, z, alpha, beta, gamma) of a batch, each of shape (B,)."""
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    gammas, phis = np.broadcast_arrays(gammas, np.asarray(phis, dtype=float))
+    base = np.asarray(0.0 if bases is None else bases, dtype=float)
+    start = np.broadcast_to(base, (len(gammas), 3))
+    r = np.sqrt(np.clip(1.0 - gammas**2, 0.0, None))
+    return (*start.T, r * np.cos(phis), r * np.sin(phis), gammas)
+
+
+def _trajectory(rows, s_max: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s_values, states) of an RK4 run from rows; states[k] holds the rows after k steps."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if not s_max > 0.0:
+        raise ValueError("s_max must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.array(_rk4(rows, s_max / n_steps, n_steps))
+    if not np.isfinite(states).all():
+        # The exact flow stays finite, but RK4 grows the velocity, which
+        # turns at rate 2 gamma, by a factor above 1 per step once
+        # 2 |gamma| h > 2 sqrt(2); a coarse enough step overflows
+        # (gamma = 0.5, s_max = 1e100 in 1000 steps does).
+        raise RuntimeError("non-finite state encountered during integration")
+    return np.linspace(0.0, s_max, n_steps + 1), states
 
 
 def integrate_geodesic_batch(
@@ -237,67 +283,16 @@ def integrate_geodesic_batch(
     array of starting coordinates (default: origin).  RuntimeError if the
     state overflows.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not s_max > 0.0:
-        raise ValueError("s_max must be positive")
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    gammas, phis = np.broadcast_arrays(gammas, phis)
-    n = gammas.shape[0]
-    r = np.sqrt(np.clip(1.0 - gammas**2, 0.0, None))
-    state = np.zeros((n, 6))
-    if bases is not None:
-        state[:, :3] = np.asarray(bases, dtype=float)
-    state[:, 3] = r * np.cos(phis)
-    state[:, 4] = r * np.sin(phis)
-    state[:, 5] = gammas
-
-    h = s_max / n_steps
-    out = np.empty((n_steps + 1, n, 6))
-    out[0] = state
-    # (6, n) buffers updated in place; every sum and product is rounded in
-    # the order of state + c k and state + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
-    state = state.T.copy()
-    k1, k2, k3, k4, stage = np.zeros((5, 6, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            _rhs(state, k1)
-            for slope, nxt, c in ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h)):
-                np.multiply(slope, c, out=stage)
-                stage += state
-                _rhs(stage, nxt)
-            k1 += 2.0 * k2
-            k1 += 2.0 * k3
-            k1 += k4
-            state += h / 6.0 * k1
-            out[k + 1] = state.T
-    if not np.isfinite(out).all():
-        # The exact flow stays finite, but RK4 grows the velocity, which
-        # turns at rate 2 gamma, by a factor above 1 per step once
-        # 2 |gamma| h > 2 sqrt(2); a coarse enough step overflows
-        # (gamma = 0.5, s_max = 1e100 in 1000 steps does).
-        raise RuntimeError("non-finite state encountered during integration")
-    s_values = np.linspace(0.0, s_max, n_steps + 1)
-    return s_values, out
+    s_values, states = _trajectory(_initial_rows(gammas, phis, bases), s_max, n_steps)
+    return s_values, states.transpose(0, 2, 1)
 
 
 def integrate_geodesic(spec: GeodesicSpec, s_max: float, n_steps: int) -> list[GeodesicSample]:
     """RK4 trajectory of a single geodesic, including both endpoints."""
-    bases = spec.base.as_array()[None, :]
-    s_values, states = integrate_geodesic_batch(
-        [spec.gamma], [spec.phi], s_max, n_steps, bases=bases
-    )
+    rows = _initial_rows(spec.gamma, spec.phi, spec.base.as_array())
+    s_values, states = _trajectory(tuple(float(v[0]) for v in rows), s_max, n_steps)
     samples = []
-    for s, row in zip(s_values, states[:, 0, :]):
-        point = HeisPoint(row[0], row[1], row[2])
-        vel = FrameVector(row[3], row[4], row[5])
-        samples.append(
-            GeodesicSample(
-                s=float(s),
-                point=point,
-                velocity_frame=vel,
-                velocity_coord=frame_to_coord(point, vel),
-            )
-        )
+    for s, (x, y, z, a, b, g) in zip(s_values, states):
+        point, vel = HeisPoint(x, y, z), FrameVector(a, b, g)
+        samples.append(GeodesicSample(float(s), point, vel, frame_to_coord(point, vel)))
     return samples

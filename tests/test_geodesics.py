@@ -349,22 +349,52 @@ class TestIntegrator:
         err = np.max(np.abs(states[:, :, :3] - closed))
         assert err < 1e-7
 
-    def test_nonfinite_guard_message(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: integrate_geodesic_batch(0.5, 0.0, 1e100, 1000),
+            lambda: integrate_geodesic(GeodesicSpec.from_direction(0.5), 1e100, 1000),
+        ],
+        ids=["batch", "single"],
+    )
+    def test_nonfinite_guard_message(self, run):
         # A step far beyond RK4's stability limit overflows; the error is
-        # the only signal, with no numpy warning before it.
+        # the only signal, with no numpy warning (or float OverflowError)
+        # before it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="non-finite state"):
-                integrate_geodesic_batch(0.5, 0.0, 1e100, 1000)
+                run()
 
-    @pytest.mark.parametrize("batch", [1, 64])
-    def test_states_match_the_unbuffered_loop(self, batch):
+    def test_bases_broadcast_to_the_batch(self):
+        gammas, phis = [0.3, -0.6], [0.0, 1.0]
+        for bad in (np.zeros((2, 2)), np.zeros((3, 3))):
+            with pytest.raises(ValueError):
+                integrate_geodesic_batch(gammas, phis, 1.0, 10, bases=bad)
+        base = np.array([1.0, -2.0, 0.5])
+        _, shared = integrate_geodesic_batch(gammas, phis, 1.0, 10, bases=base)
+        _, stacked = integrate_geodesic_batch(gammas, phis, 1.0, 10, bases=np.tile(base, (2, 1)))
+        assert np.array_equal(shared, stacked)
+
+    @pytest.mark.parametrize(
+        "batch, single", [(1, False), (64, False), (1, True)], ids=["1", "64", "single"]
+    )
+    def test_states_match_the_unbuffered_loop(self, batch, single):
         rng = np.random.default_rng(batch)
         gammas = rng.uniform(-1.0, 1.0, batch)
         gammas[0] = -0.0
         phis = rng.uniform(-4.0, 4.0, batch)
         bases = rng.normal(0.0, 3.0, (batch, 3))
-        s_values, states = integrate_geodesic_batch(gammas, phis, 9.0, 2000, bases=bases)
+        if single:
+            spec = GeodesicSpec.from_direction(gammas[0], phis[0], HeisPoint(*bases[0]))
+            phis = np.array([spec.phi])  # normalized into [0, 2pi)
+            samples = integrate_geodesic(spec, 9.0, 2000)
+            s_values = np.array([sample.s for sample in samples])
+            states = np.array(
+                [[*sample.point.as_array(), *sample.velocity_frame.as_array()] for sample in samples]
+            )[:, None, :]
+        else:
+            s_values, states = integrate_geodesic_batch(gammas, phis, 9.0, 2000, bases=bases)
         assert np.array_equal(s_values, np.linspace(0.0, 9.0, 2001))
         want = _unbuffered_rk4(gammas, phis, bases, 9.0 / 2000, 2000)
         assert np.array_equal(states, want)
