@@ -116,17 +116,19 @@ def origin_coordinates(r, phi, gamma, s):
     """Coordinates of the geodesic from the origin, vectorized.
 
     Arguments broadcast; returns (x, y, z) arrays.  Grid evaluation over
-    many parameters is a plain broadcast with no shared state.
+    many parameters is a plain broadcast with no shared state.  Past
+    s ~ 5.6e102, s**3 overflows: the result is non-finite, without a warning.
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s, dtype=float)
-    w = gamma * s
-    rs_sinc = r * s * _sinc(w)
-    x = rs_sinc * np.cos(phi + w)
-    y = rs_sinc * np.sin(phi + w)
-    z = 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = gamma * s
+        rs_sinc = r * s * _sinc(w)
+        x = rs_sinc * np.cos(phi + w)
+        y = rs_sinc * np.sin(phi + w)
+        z = 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
     # x and y depend on every argument and so have the full shape; z has no
     # r or phi dependence.  Give callers uniformly shaped outputs.
     if z.shape != x.shape:
@@ -218,30 +220,6 @@ def exp_map(base: HeisPoint, v: FrameVector) -> HeisPoint:
     return geodesic_from_point(spec, length)
 
 
-def _rk4(rows, h, n_steps):
-    """n_steps of classical RK4 from rows (x, y, z, alpha, beta, gamma).
-
-    The rows are floats for one geodesic or arrays for a batch; returns
-    the n_steps + 1 row tuples.  Every sum and product is rounded in the
-    order of v + (c h) k and v + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
-    """
-
-    def rhs(x, y, _z, a, b, g):
-        return a, b, g - a * y + b * x, -2.0 * g * b, 2.0 * g * a, 0.0
-
-    states = [rows]
-    for _ in range(n_steps):
-        k = [rhs(*rows)]
-        for c in (0.5 * h, 0.5 * h, h):
-            k.append(rhs(*[v + c * dv for v, dv in zip(rows, k[-1])]))
-        rows = tuple(
-            v + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-            for v, k1, k2, k3, k4 in zip(rows, *k)
-        )
-        states.append(rows)
-    return states
-
-
 def _initial_rows(gammas, phis, bases):
     """Starting rows (x, y, z, alpha, beta, gamma) of a batch, each of shape (B,)."""
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
@@ -253,13 +231,32 @@ def _initial_rows(gammas, phis, bases):
 
 
 def _trajectory(rows, s_max: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s_values, states) of an RK4 run from rows; states[k] holds the rows after k steps."""
+    """(s_values, states) of n_steps of classical RK4 from rows.
+
+    rows (x, y, z, alpha, beta, gamma) are floats for one geodesic or arrays
+    for a batch; states[k] holds the rows after k steps, each rounded in the
+    order of v + (c h) k and v + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not s_max > 0.0:
         raise ValueError("s_max must be positive")
+
+    def rhs(x, y, _z, a, b, g):
+        return a, b, g - a * y + b * x, -2.0 * g * b, 2.0 * g * a, 0.0
+    h = s_max / n_steps
+    states = np.empty((n_steps + 1, 6, *np.shape(rows[0])))
+    states[0] = rows
     with np.errstate(over="ignore", invalid="ignore"):
-        states = np.array(_rk4(rows, s_max / n_steps, n_steps))
+        for step in range(1, n_steps + 1):
+            k = [rhs(*rows)]
+            for c in (0.5 * h, 0.5 * h, h):
+                k.append(rhs(*[v + c * dv for v, dv in zip(rows, k[-1])]))
+            rows = tuple(
+                v + h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+                for v, k1, k2, k3, k4 in zip(rows, *k)
+            )
+            states[step] = rows
     if not np.isfinite(states).all():
         # The exact flow stays finite, but RK4 grows the velocity, which
         # turns at rate 2 gamma, by a factor above 1 per step once

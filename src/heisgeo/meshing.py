@@ -147,6 +147,8 @@ def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMe
     first.  Triangles that repeat an index are dropped, which leaves one fan
     per collapsed row; a last-row fan is rotated to start at its pole.
     """
+    if not np.isfinite(points).all():
+        raise MeshError("mesh has non-finite vertex coordinates")
     n_rows, n_cols = points.shape[:2]
     keep = np.ones((n_rows, n_cols), dtype=bool)
     keep[0, 1:] = not collapse[0]

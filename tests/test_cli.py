@@ -423,6 +423,25 @@ class TestExitCodes:
         assert result.returncode == 0 and result.stderr == ""
         assert json.loads(result.stdout)["s"] == 1e102
 
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--radius", "1e35", "--nphi", "4", "--ngamma", "4", "--out", "big.obj"],
+        ["geodesic", "--gamma", "0.5", "--smax", "1e35", "--n", "3", "--out", "g.csv"],
+    ])
+    def test_huge_arc_length_leaves_stderr_empty(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        result = run_python(["-m", "heisgeo.cli", *argv])
+        assert result.returncode == 0 and result.stderr == ""
+
+    @pytest.mark.parametrize("flag", ["--half", "--clip-to-metric"])
+    def test_sphere_past_the_closed_form_is_refused(self, capsys, tmp_path, flag):
+        # Past radius ~5.6e102 the exp-image is not finite: refused, never
+        # meshed into an empty or uncertifiable file.
+        out = tmp_path / "s.obj"
+        code, _, err = run(["sphere", "--radius", "1e103", "--nphi", "8", "--ngamma", "8",
+                            flag, "--out", str(out)], capsys)
+        assert code == 2 and "non-finite" in err
+        assert not out.exists()
+
     def test_console_entrypoint(self):
         result = run_python(["-m", "heisgeo.cli", "distance", "--metric", "cygan",
                              "0,0,0", "3,4,0"])

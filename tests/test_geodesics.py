@@ -215,6 +215,13 @@ class TestOriginCoordinates:
         # z does not depend on phi: every phi sees the same heights.
         assert (out[2] == out[2][:, :1]).all()
 
+    @pytest.mark.parametrize("s", [1e35, 1e103])
+    def test_huge_arc_length_does_not_warn(self, s):
+        # s**3 overflows past ~5.6e102: z turns non-finite, with no warning
+        # (a RuntimeWarning fails the suite).
+        x, y, z = origin_coordinates(0.6, 0.3, 0.8, s)
+        assert np.isfinite([x, y]).all() and np.isfinite(z) == (s < 5.6e102)
+
 
 class TestFromPoint:
     def test_base_at_zero_arc_length(self):

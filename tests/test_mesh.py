@@ -298,6 +298,15 @@ class TestCloseup:
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: sphere_proximity_events(SphereGrid(8, 8, 1e103)),
+        lambda: singular_point_closeup(1e103, detection_grid=(8, 8)),
+    ], ids=["proximity_events", "closeup"])
+    def test_radius_past_the_closed_form_raises(self, build):
+        # The exp-image has nan vertices there; no contact can be read off it.
+        with pytest.raises(MeshError, match="non-finite"):
+            build()
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             singular_point_closeup(5.0, window=0.0)
