@@ -57,9 +57,11 @@ k = floor(|z| / pi) are empty.  All three 1-D solves of a target (t*,
 left and right root) are vectorized over its windows.
 
 brute_force_distance is an independent validation oracle: a dense lattice
-over (gamma, phi, s) followed by a derivative-free shrinking-lattice
-refinement.  It shares only the forward closed form with the solvers, not
-the inversion strategy.
+over (gamma, s), each point scored by its endpoint miss at the best planar
+direction phi (which only turns the endpoint about the z-axis), then a
+derivative-free shrinking-lattice refinement.  It scans every gamma in
+[-1, 1] and every s up to s_max, and shares only the forward closed form
+with the solvers, not the cut time or the inversion strategy.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ORIGIN, HeisPoint, left_quotient
-from .geodesics import TWO_PI, GeodesicSpec, _sinc, _sin_defect, origin_coordinates
+from .geodesics import GeodesicSpec, _sinc, _sin_defect, origin_coordinates
 
 __all__ = [
     "ShootingSolution",
@@ -462,75 +464,83 @@ def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:
     return float(riemannian_distance_many([(delta.x, delta.y, delta.z)], tol=tol)[0])
 
 
-def _refine_lattice(center, halfwidth, target, s_cap):
-    """Derivative-free shrinking-lattice descent of the endpoint miss."""
+def _lattice_miss(gamma, s, rho, z_t):
+    """Endpoint miss of the geodesic (gamma, s) at its best planar direction.
+
+    Rotation about the z-axis turns the endpoint's planar part by phi and
+    leaves its length |r s sinc(w)| and its height alone, so over phi the
+    miss to a target at planar distance rho and height z_t is smallest at
+    hypot(|x + iy| - rho, z - z_t).
+    """
+    r = np.sqrt(np.clip(1.0 - gamma * gamma, 0.0, None))
+    x, y, z = origin_coordinates(r, 0.0, gamma, s)
+    return np.hypot(np.hypot(x, y) - rho, z - z_t)
+
+
+def _refine_lattice(center, halfwidth, rho, z_t, s_cap):
+    """Derivative-free shrinking-lattice descent of _lattice_miss over (gamma, s).
+
+    A 9x9 lattice around the centre moves to its best point and halves when
+    that point is interior.  Points are ranked by distance from the centre,
+    so a tie (rows clipped onto gamma = +-1 all miss alike) goes inward.
+    """
     offsets = np.linspace(-1.0, 1.0, 9)
-    og, of, os_ = np.meshgrid(offsets, offsets, offsets, indexing="ij")
+    og, os_ = (a.ravel() for a in np.meshgrid(offsets, offsets, indexing="ij"))
+    order = np.argsort(np.abs(og) + np.abs(os_), kind="stable")
+    og, os_ = og[order], os_[order]
+    on_edge = np.maximum(np.abs(og), np.abs(os_)) == 1.0
     center = np.array(center, dtype=float)
     halfwidth = np.array(halfwidth, dtype=float)
-    tx, ty, tz = target
     best = (np.inf, center)
     for _ in range(80):
         g = np.clip(center[0] + og * halfwidth[0], -1.0, 1.0)
-        f = center[1] + of * halfwidth[1]
-        s = np.clip(center[2] + os_ * halfwidth[2], 1e-9, s_cap)
-        r = np.sqrt(np.clip(1.0 - g * g, 0.0, None))
-        x, y, z = origin_coordinates(r, f, g, s)
-        miss = (x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2
-        idx = np.unravel_index(np.argmin(miss), miss.shape)
-        value = miss[idx]
-        new_center = np.array([g[idx], f[idx], s[idx]])
-        if value < best[0]:
-            best = (value, new_center)
-        on_edge = any(i in (0, 8) for i in idx)
-        center = new_center
-        if not on_edge:
+        s = np.clip(center[1] + os_ * halfwidth[1], 1e-9, s_cap)
+        miss = _lattice_miss(g, s, rho, z_t)
+        i = int(np.argmin(miss))
+        center = np.array([g[i], s[i]])
+        if miss[i] < best[0]:
+            best = (float(miss[i]), center)
+        if not on_edge[i]:
             halfwidth = halfwidth * 0.5
         if halfwidth.max() < 1e-10:
             break
-    return math.sqrt(best[0]), best[1]
+    return best
 
 
 def brute_force_distance(
     target: HeisPoint,
-    grid: tuple[int, int, int] = (64, 64, 512),
+    grid: tuple[int, int] = (64, 512),
     s_max: float = 10.0,
 ) -> float:
     """Grid-search upper bound for the distance from the origin to target.
 
-    A dense lattice over gamma in [-1, 1], phi in [0, 2pi), s in (0, s_max]
-    is scanned for endpoints within a ball whose radius is derived from the
-    lattice spacing (a first-order sensitivity bound per point).  The
-    smallest-s qualifying cells seed one local refinement pass each; the
-    minimum refined arc length over the verified branches is returned.
-    Raises TargetUnreachableError when nothing qualifies, which signals
-    that s_max is too small for the target.
+    A dense lattice over gamma in [-1, 1] and s in (0, s_max] is scanned
+    for geodesics whose endpoint, turned about the z-axis to the best
+    planar direction (_lattice_miss), lies within a ball whose radius is
+    derived from the lattice spacing (a first-order sensitivity bound per
+    point).  The smallest-s qualifying cells seed one local refinement pass
+    each; the minimum refined arc length over the verified branches is
+    returned.  Raises TargetUnreachableError when nothing qualifies, which
+    signals that s_max is too small for the target.
     """
-    n_gamma, n_phi, n_s = grid
-    if min(grid) < 16:
-        raise ValueError("grid dimensions must each be at least 16")
+    if len(grid) != 2 or min(grid) < 16:
+        raise ValueError("grid must be (n_gamma, n_s), each at least 16")
     if target == ORIGIN:
         return 0.0
 
+    n_gamma, n_s = grid
+    rho = math.hypot(target.x, target.y)
     gammas = np.linspace(-1.0, 1.0, n_gamma)
-    phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     lengths = s_max * np.arange(1, n_s + 1) / n_s
     d_gamma = gammas[1] - gammas[0]
-    d_phi = phis[1] - phis[0]
     d_s = lengths[1] - lengths[0]
-
-    g = gammas[:, None, None]
-    r = np.sqrt(np.clip(1.0 - g * g, 0.0, None))
-    x, y, z = origin_coordinates(r, phis[None, :, None], g, lengths)
-    miss = np.sqrt(
-        (x - target.x) ** 2 + (y - target.y) ** 2 + (z - target.z) ** 2
-    )
-
-    # Per-point acceptance radius: displacement of the endpoint across half
-    # a cell, from exact radial/angular/arc-length sensitivities plus a
-    # finite-difference gamma sensitivity of the profile.
     g2 = gammas[:, None]
     s2 = lengths[None, :]
+    miss = _lattice_miss(g2, s2, rho, target.z)
+
+    # Per-point acceptance radius: displacement of the endpoint across half
+    # a cell, from the exact arc-length and turning sensitivities plus a
+    # finite-difference gamma sensitivity of the profile.
     r2 = np.sqrt(np.clip(1.0 - g2 * g2, 0.0, None))
     w2 = g2 * s2
     q2 = r2 * s2 * _sinc(w2)
@@ -540,48 +550,34 @@ def brute_force_distance(
     zdot = g2 + r2 * r2 * s2 * _sinc(w2) * np.sin(w2)
     sens_gamma = np.sqrt(dq_dg**2 + (q2 * s2) ** 2 + dz_dg**2)
     sens_s = np.sqrt(r2 * r2 + zdot * zdot)
-    sens_phi = np.abs(q2)
-    radius = 0.75 * (d_gamma * sens_gamma + d_phi * sens_phi + d_s * sens_s)
-    radius = radius[:, None, :]
+    radius = 0.75 * (d_gamma * sens_gamma + d_s * sens_s)
 
     qualifying = miss <= radius
-    candidates: list[tuple[int, int, int]] = []
+    candidates: list[tuple[int, int]] = []
     if qualifying.any():
-        qi, qj, qk = np.nonzero(qualifying)
+        qi, qk = np.nonzero(qualifying)
         order = np.argsort(lengths[qk], kind="stable")
-        for i, j, k in zip(qi[order], qj[order], qk[order]):
-            near = False
-            for ci, cj, ck in candidates:
-                dj = abs(int(j) - cj)
-                dj = min(dj, n_phi - dj)
-                if abs(int(i) - ci) <= 3 and dj <= 3 and abs(int(k) - ck) <= 3:
-                    near = True
-                    break
-            if not near:
-                candidates.append((int(i), int(j), int(k)))
+        for i, k in zip(qi[order], qk[order]):
+            if all(abs(int(i) - ci) > 3 or abs(int(k) - ck) > 3 for ci, ck in candidates):
+                candidates.append((int(i), int(k)))
             if len(candidates) >= 12:
                 break
     else:
-        flat = int(np.argmin(miss))
-        i, j, k = np.unravel_index(flat, miss.shape)
-        if miss[i, j, k] > 4.0 * radius[i, 0, k]:
+        i, k = np.unravel_index(int(np.argmin(miss)), miss.shape)
+        if miss[i, k] > 4.0 * radius[i, k]:
             raise TargetUnreachableError(
                 f"no lattice endpoint near target within s_max = {s_max}"
             )
-        candidates.append((int(i), int(j), int(k)))
+        candidates.append((int(i), int(k)))
 
-    hit_tol = 1e-6 * max(1.0, math.sqrt(target.x**2 + target.y**2 + target.z**2))
+    hit_tol = 1e-6 * max(1.0, math.hypot(rho, target.z))
     verified: list[float] = []
-    tgt = (target.x, target.y, target.z)
-    for i, j, k in candidates:
+    for i, k in candidates:
         gap, refined = _refine_lattice(
-            (gammas[i], phis[j], lengths[k]),
-            (d_gamma, d_phi, d_s),
-            tgt,
-            1.25 * s_max,
+            (gammas[i], lengths[k]), (d_gamma, d_s), rho, target.z, 1.25 * s_max
         )
         if gap <= hit_tol:
-            verified.append(float(refined[2]))
+            verified.append(float(refined[1]))
     if not verified:
         raise TargetUnreachableError(
             "no lattice candidate could be refined to a connecting geodesic; "

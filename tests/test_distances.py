@@ -227,7 +227,7 @@ class TestRiemannianDistance:
         # scale; recorded as a regression value.
         d = riemannian_distance(ORIGIN, HeisPoint(0, 0, 0.5))
         assert abs(d - 0.5) < 1e-6
-        oracle = brute_force_distance(HeisPoint(0, 0, 0.5), grid=(48, 16, 256), s_max=2.0)
+        oracle = brute_force_distance(HeisPoint(0, 0, 0.5), grid=(48, 256), s_max=2.0)
         assert abs(oracle - 0.5) < 1e-4
 
     def test_tall_axis_target_beats_vertical(self):
@@ -278,7 +278,9 @@ class TestRiemannianDistance:
 class TestBruteForce:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            brute_force_distance(HeisPoint(1, 0, 0), grid=(8, 64, 64))
+            brute_force_distance(HeisPoint(1, 0, 0), grid=(8, 64))
+        with pytest.raises(ValueError):
+            brute_force_distance(HeisPoint(1, 0, 0), grid=(64, 64, 512))
 
     def test_origin_short_circuit(self):
         assert brute_force_distance(ORIGIN) == 0.0
@@ -289,15 +291,15 @@ class TestBruteForce:
 
     def test_axis_target_upper_bound(self):
         got = brute_force_distance(
-            HeisPoint(0, 0, 5 * math.pi / 2), grid=(64, 16, 512), s_max=3 * math.pi
+            HeisPoint(0, 0, 5 * math.pi / 2), grid=(64, 512), s_max=3 * math.pi
         )
         assert got <= TWO_PI + 1e-3
         assert got >= TWO_PI - 1e-3
 
     def test_refinement_monotonicity(self):
         target = HeisPoint(0.9, -0.2, 0.6)
-        coarse = brute_force_distance(target, grid=(16, 16, 64), s_max=4.0)
-        fine = brute_force_distance(target, grid=(32, 32, 128), s_max=4.0)
+        coarse = brute_force_distance(target, grid=(16, 64), s_max=4.0)
+        fine = brute_force_distance(target, grid=(32, 128), s_max=4.0)
         # Both refine to near-exact connecting geodesics; the finer lattice
         # can only find the same branch or a shorter one, up to refinement
         # tolerance.
@@ -305,7 +307,28 @@ class TestBruteForce:
 
     def test_unreachable_raises(self):
         with pytest.raises(TargetUnreachableError):
-            brute_force_distance(HeisPoint(0, 0, 40.0), grid=(24, 16, 64), s_max=2.0)
+            brute_force_distance(HeisPoint(0, 0, 40.0), grid=(24, 64), s_max=2.0)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            (0, 0, 1), (0, 0, 2), (0, 0, 5), (1e-3, 0, 2), (0, 0, -1),
+            (0, 0, -3), (0, 0, -0.5), (1e-3, 0, -2), (0, 1e-9, 3.5),
+        ],
+    )
+    def test_reaches_the_axis(self, target):
+        # Every phi reaches the same endpoint here, and the vertical line
+        # runs along the clipped gamma = +-1 edge of the refinement lattice.
+        target = HeisPoint(*target)
+        oracle = brute_force_distance(target)
+        assert abs(oracle - riemannian_distance(ORIGIN, target)) < 1e-6
+
+    @pytest.mark.parametrize("target", [(1e200, 0, 0), (0, 0, 1e300), (1e160, 0, 1)])
+    def test_huge_target_raises_without_warning(self, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TargetUnreachableError):
+                brute_force_distance(HeisPoint(*target))
 
 
 class TestMetricAxioms:
