@@ -19,10 +19,13 @@ does not.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
-is at most a tenth of the median edge length (pairs from `_close_pairs`, a
-cell hash).  Pairs adjacent in the parameter grid are ignored, as are pairs
-whose separation is comparable to their distance from the nearest pole (the
-mesh legitimately closes up there, which would read as contact near poles).
+is at most a tenth of the median edge length (each edge counted once, as
+its face edge a -> b with a < b; pairs from `_close_pairs`, a cell hash).
+Pairs adjacent in the parameter grid are ignored, as are pairs whose
+separation is comparable to their distance from the nearest pole (the mesh
+legitimately closes up there, which would read as contact near poles).
+`_contacts` keeps the events as arrays in the order of one lexsort; only
+`sphere_proximity_events` turns them into objects.
 """
 
 from __future__ import annotations
@@ -157,12 +160,12 @@ def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMe
     index = np.where(keep, index, index[:, :1])
     cols = np.arange(n_cols if wrap else n_cols - 1)
     nxt = (cols + 1) % n_cols
-    lo, hi = index[:-1], index[1:]
-    first = np.stack([lo[:, cols], lo[:, nxt], hi[:, nxt]], axis=-1)
-    second = np.stack([lo[:, cols], hi[:, nxt], hi[:, cols]], axis=-1)
+    # Each cell's six corners lo_i, lo_next, hi_next, lo_i, hi_next, hi_i.
+    rows = np.arange(n_rows - 1)[:, None, None] + [0, 0, 1, 0, 1, 1]
+    faces = index[rows, np.where([0, 1, 1, 0, 1, 0], nxt[:, None], cols[:, None])]
     if collapse[1]:
-        first[-1] = np.roll(first[-1], 1, axis=-1)
-    faces = np.stack([first, second], axis=2).reshape(-1, 3)
+        faces[-1, :, :3] = np.roll(faces[-1, :, :3], 1, axis=-1)
+    faces = faces.reshape(-1, 3)
     a, b, c = faces.T
     return TriMesh(
         vertices=points[keep],
@@ -372,21 +375,16 @@ def _close_pairs(points: np.ndarray, r: float) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
-    """Self-contact events of the exp-sphere at the given resolution.
-
-    A vertex pair is an event when its Euclidean separation is at most
-    0.1 x median edge length, the pair is more than two steps apart in the
-    parameter grid (phi circular), and the separation is small compared
-    with the pair's distance to the nearest pole.  The last condition
-    rejects the legitimate closing of rings near the poles.
-    """
+def _contacts(grid: SphereGrid) -> tuple[np.ndarray, ...]:
+    """The events of `sphere_proximity_events` as five arrays in event order:
+    vertex_a, vertex_b, separation, gamma_mid and planar_radius_mid."""
     mesh = sphere_exp_mesh(grid)
-    edges = mesh.edges()
-    edge_lengths = np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
-    )
-    threshold = _PROXIMITY_RATIO * float(np.median(edge_lengths))
+    # The sphere is closed and consistently oriented, so each undirected edge
+    # is exactly one directed face edge a -> b with a < b.
+    ends = np.roll(mesh.faces, -1, axis=1)
+    forward = mesh.faces < ends
+    edge_vectors = mesh.vertices[mesh.faces[forward]] - mesh.vertices[ends[forward]]
+    threshold = _PROXIMITY_RATIO * float(np.median(np.linalg.norm(edge_vectors, axis=1)))
 
     pairs = _close_pairs(mesh.vertices, threshold)
     # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
@@ -410,16 +408,23 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     gammas = mesh.vertex_scalars["gamma"]
     gamma_mid = 0.5 * (gammas[a] + gammas[b])
     mid = 0.5 * (va[hit] + vb[hit])
-    events = [
-        ProximityEvent(i, j, sep, g, math.hypot(x, y))
-        for i, j, sep, g, (x, y, _) in zip(
-            a.tolist(), b.tolist(), separation[hit].tolist(), gamma_mid.tolist(), mid.tolist()
-        )
-    ]
-    events.sort(
-        key=lambda e: (e.planar_radius_mid, -abs(e.gamma_mid), e.vertex_a, e.vertex_b)
-    )
-    return events
+    # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
+    planar = np.array([math.hypot(x, y) for x, y, _ in mid.tolist()])
+    order = np.lexsort((b, a, -np.abs(gamma_mid), planar))
+    return a[order], b[order], separation[hit][order], gamma_mid[order], planar[order]
+
+
+def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
+    """Self-contact events of the exp-sphere at the given resolution.
+
+    A vertex pair is an event when its Euclidean separation is at most
+    0.1 x median edge length, the pair is more than two steps apart in the
+    parameter grid (phi circular), and the separation is small compared
+    with the pair's distance to the nearest pole.  The last condition
+    rejects the legitimate closing of rings near the poles.  Events are
+    ordered by planar_radius_mid, then -|gamma_mid|, vertex_a, vertex_b.
+    """
+    return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in _contacts(grid)))]
 
 
 def singular_point_closeup(
@@ -443,12 +448,12 @@ def singular_point_closeup(
     if n_phi < 3 or n_gamma < 3:
         raise ValueError("closeup resolution needs n_phi >= 3 and n_gamma >= 3")
     grid = SphereGrid(n_phi=detection_grid[0], n_gamma=detection_grid[1], radius=radius)
-    events = sphere_proximity_events(grid)
-    if not events:
+    gamma_mid = _contacts(grid)[3]
+    if not gamma_mid.size:
         raise NoSingularityError(
             f"no singularity found below radius {radius}; the sphere appears embedded"
         )
-    center = events[0].gamma_mid
+    center = float(gamma_mid[0])
     lo = max(-1.0, center - window)
     hi = min(1.0, center + window)
     return _revolved_exp_mesh(np.linspace(lo, hi, n_gamma), n_phi, radius)
@@ -481,7 +486,7 @@ def first_singular_radius(
 
     def has_contact(radius: float) -> bool:
         grid = SphereGrid(detection_grid[0], detection_grid[1], radius)
-        return bool(sphere_proximity_events(grid))
+        return len(_contacts(grid)[0]) > 0
 
     if has_contact(lo):
         raise ValueError(f"lower bracket {lo} already shows self-contact")

@@ -40,6 +40,10 @@ def interior_index(grid: SphereGrid, row: int, col: int) -> int:
     return 1 + (row - 1) * grid.n_phi + col
 
 
+def _shape_id(shape) -> str:
+    return "x".join(map(str, shape))
+
+
 class TestTriMesh:
     def test_validation_catches_bad_indices(self):
         mesh = TriMesh(vertices=np.zeros((3, 3)), faces=[[0, 1, 5]])
@@ -166,6 +170,35 @@ class TestProximityDetector:
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             first_singular_radius(lo=5.0, hi=6.0, iterations=2)
+
+    @pytest.mark.parametrize("grid", [(3, 3), (7, 5), (64, 128), (96, 192)], ids=_shape_id)
+    @pytest.mark.parametrize("radius", [1.0, 5.0])
+    def test_threshold_from_forward_face_edges(self, monkeypatch, grid, radius):
+        # The sphere is closed and consistently wound, so its face edges
+        # a -> b with a < b are its undirected edges, each exactly once.  The
+        # detector's threshold takes the median over those.
+        mesh = sphere_exp_mesh(SphereGrid(*grid, radius))
+        ends = np.roll(mesh.faces, -1, axis=1)
+        forward = mesh.faces < ends
+        edges = mesh.edges()
+        directed = np.stack([mesh.faces[forward], ends[forward]], axis=1)
+        assert len(directed) == len(edges)
+        np.testing.assert_array_equal(_sorted_rows(directed), edges)
+
+        def length(e):
+            return np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+
+        median = float(np.median(length(edges)))
+        assert float(np.median(length(directed))) == median
+        radii = []
+
+        def close_pairs(points, r):
+            radii.append(r)
+            return _close_pairs(points, r)
+
+        monkeypatch.setattr(heisgeo.meshing, "_close_pairs", close_pairs)
+        sphere_proximity_events(SphereGrid(*grid, radius))
+        assert radii == [0.1 * median]
 
 
 def _tree_pairs(points, r):
@@ -297,6 +330,25 @@ class TestCloseup:
     def test_radius_one_raises(self):
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
+
+    @pytest.mark.parametrize("grid", [(48, 96), (64, 128), (96, 192)], ids=_shape_id)
+    def test_centred_on_the_first_event(self, grid):
+        # The figures' detection grids: the patch's gamma rows are the
+        # linspace around the first event's gamma_mid, bit for bit, and no
+        # event means no patch.  Rows reaching a pole collapse to one vertex.
+        window, n_gamma = 0.08, 48
+        for radius in (3.3, 4.0, 5.0, 7.5, 20.0, 35.0):
+            events = sphere_proximity_events(SphereGrid(*grid, radius))
+            if not events:
+                with pytest.raises(NoSingularityError):
+                    singular_point_closeup(radius, window, (96, n_gamma), grid)
+                continue
+            c = events[0].gamma_mid
+            mesh = singular_point_closeup(radius, window, (96, n_gamma), grid)
+            gammas = mesh.vertex_scalars["gamma"]
+            rows = gammas[np.concatenate([[True], gammas[1:] != gammas[:-1]])]
+            expected = np.linspace(max(-1.0, c - window), min(1.0, c + window), n_gamma)
+            assert rows.tobytes() == expected.tobytes(), radius
 
     @pytest.mark.parametrize("build", [
         lambda: sphere_proximity_events(SphereGrid(8, 8, 1e103)),
@@ -474,6 +526,16 @@ class TestLoopReference:
             (lambda: plane_exp_surface(resolution=(5, 4)), [1, 0, 0, 0], 5, 5, True),
             (lambda: plane_exp_surface((0.5, 2.5), (0, 3), (5, 4)), [1, 0, 0, 0], 5, 4, True),
             (lambda: plane_exp_surface((0.5, 2.5), (1, 3), (5, 4)), [0] * 4, 5, 4, False),
+            # The sizes the figures use.
+            (
+                lambda: sphere_exp_mesh(SphereGrid(64, 128, 1.0)),
+                [1] + [0] * 126 + [1],
+                64,
+                64,
+                False,
+            ),
+            (lambda: plane_exp_surface(), [1] + [0] * 95, 128, 128, True),
+            (lambda: singular_point_closeup(5.0, resolution=(96, 48)), [0] * 48, 96, 96, False),
         ],
         ids=[
             "sphere3x3",
@@ -483,15 +545,24 @@ class TestLoopReference:
             "plane",
             "plane_partial_apex",
             "plane_partial",
+            "sphere64x128",
+            "plane128x96",
+            "closeup96x48",
         ],
     )
     def test_faces(self, build, collapsed, n_cols, n_cells, apex_out):
         expected = _loop_faces(collapsed, n_cols, n_cells, apex_out)
         np.testing.assert_array_equal(build().faces, expected)
 
-    @pytest.mark.parametrize("radius", [5.0, 7.5, 20.0])
-    def test_events(self, radius):
-        grid = SphereGrid(48, 96, radius)
+    @pytest.mark.parametrize(
+        "radius, shape",
+        [
+            *(pytest.param(r, (48, 96), id=str(r)) for r in (5.0, 7.5, 20.0)),
+            *(pytest.param(r, (64, 128), id=f"64x128-{r}") for r in (5.0, 7.5, 20.0)),
+        ],
+    )
+    def test_events(self, radius, shape):
+        grid = SphereGrid(*shape, radius)
         assert sphere_proximity_events(grid) == _loop_events(grid)
 
 
