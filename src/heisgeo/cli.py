@@ -279,12 +279,22 @@ _FIGURE_BUILDERS = {
 
 
 def _cmd_figures(args) -> int:
+    table = _figure_table(args.nphi, args.ngamma)
+    # The close-ups are built before anything is written: they refuse a grid
+    # with no contact, and their detection grid checks --nphi and --ngamma.
+    # Every other figure is written as soon as it is built.
+    meshes = {
+        key: _FIGURE_BUILDERS[kind](params)
+        for key, (_, kind, params) in table.items()
+        if kind == "singular_point_closeup"
+    }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     figures = {}
-    for key, (stem, kind, params) in _figure_table(args.nphi, args.ngamma).items():
+    for key, (stem, kind, params) in table.items():
         name = f"{stem}.{args.format}"
-        _write_mesh(_FIGURE_BUILDERS[kind](params), out_dir / name, args.format)
+        mesh = meshes.pop(key) if key in meshes else _FIGURE_BUILDERS[kind](params)
+        _write_mesh(mesh, out_dir / name, args.format)
         figures[key] = {"file": name, "kind": kind, **params}
     with open(out_dir / "manifest.json", "w", newline="\n") as handle:
         json.dump({"format": args.format, "figures": figures}, handle, sort_keys=True, indent=2)

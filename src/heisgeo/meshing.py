@@ -19,13 +19,19 @@ does not.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
-is at most a tenth of the median edge length (each edge counted once, as
-its face edge a -> b with a < b; pairs from `_close_pairs`, a cell hash).
-Pairs adjacent in the parameter grid are ignored, as are pairs whose
-separation is comparable to their distance from the nearest pole (the mesh
-legitimately closes up there, which would read as contact near poles).
-`_contacts` keeps the events as arrays in the order of one lexsort; only
-`sphere_proximity_events` turns them into objects.
+is at most the threshold, a tenth of the median edge length (each edge
+once, from slices of the vertex array; pairs from `_close_pairs`, a cell
+hash).  Pairs adjacent in the parameter grid are ignored, as are pairs
+whose separation is comparable to their distance from the nearest pole (the
+mesh legitimately closes up there, which would read as contact near poles).
+`_contacts` keeps the events as arrays in the order of one lexsort, by
+planar distance of the midpoint from the z-axis first; only
+`sphere_proximity_events` turns them into objects.  The close-up needs only
+the first event, so it searches the vertices within 8 thresholds of the
+axis first.  That is exact: an event's vertices lie within planar_mid +
+threshold / 2 of the axis, so if the first near event has planar_mid +
+threshold <= 8 thresholds, every event that sorts before it was searched.
+Otherwise the whole sphere is searched.
 """
 
 from __future__ import annotations
@@ -324,6 +330,8 @@ class ProximityEvent:
 _PROXIMITY_RATIO = 0.1
 _PARAM_ADJACENCY = 2
 _POLE_CLOSURE_RATIO = 0.15
+# Planar reach, in thresholds, of the close-up's search near the z-axis.
+_CLOSEUP_REACH = 8.0
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -375,18 +383,37 @@ def _close_pairs(points: np.ndarray, r: float) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def _contacts(grid: SphereGrid) -> tuple[np.ndarray, ...]:
-    """The events of `sphere_proximity_events` as five arrays in event order:
-    vertex_a, vertex_b, separation, gamma_mid and planar_radius_mid."""
-    mesh = sphere_exp_mesh(grid)
-    # The sphere is closed and consistently oriented, so each undirected edge
-    # is exactly one directed face edge a -> b with a < b.
-    ends = np.roll(mesh.faces, -1, axis=1)
-    forward = mesh.faces < ends
-    edge_vectors = mesh.vertices[mesh.faces[forward]] - mesh.vertices[ends[forward]]
-    threshold = _PROXIMITY_RATIO * float(np.median(np.linalg.norm(edge_vectors, axis=1)))
+def _detection_sphere(grid: SphereGrid) -> tuple[TriMesh, float]:
+    """The exp-sphere of the grid and its contact threshold, 0.1 x the median
+    edge length.
 
-    pairs = _close_pairs(mesh.vertices, threshold)
+    The edges are slices of the vertex array: along each interior ring,
+    between neighbouring rings (meridians and the cell diagonals
+    lo_i -> hi_next) and the two pole fans.  These are the sphere's edges,
+    each once, so the median is the one over its face edges a -> b, a < b.
+    """
+    mesh = sphere_exp_mesh(grid)
+    v = mesh.vertices
+    rings = v[1:-1].reshape(-1, grid.n_phi, 3)
+    turned = np.roll(rings, -1, axis=1)
+    edges = (rings - turned, rings[1:] - rings[:-1], turned[1:] - rings[:-1],
+             rings[[0, -1]] - v[[0, -1], None])
+    lengths = np.linalg.norm(np.concatenate([e.reshape(-1, 3) for e in edges]), axis=1)
+    return mesh, _PROXIMITY_RATIO * float(np.median(lengths))
+
+
+def _contacts(
+    grid: SphereGrid, mesh: TriMesh, threshold: float, reach: float = math.inf
+) -> tuple[np.ndarray, ...]:
+    """The events of `sphere_proximity_events` whose two vertices lie within
+    the planar distance reach of the z-axis, as five arrays in event order:
+    vertex_a, vertex_b, separation, gamma_mid and planar_radius_mid.
+
+    mesh and threshold are `_detection_sphere(grid)`.  Only the vertices
+    within reach are searched for close pairs; the default reach keeps all.
+    """
+    near = np.flatnonzero(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= reach)
+    pairs = near[_close_pairs(mesh.vertices[near], threshold)]
     # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
     # ring formula also puts each pole one ring beyond its neighbor ring.
     ring, col = np.divmod(pairs - 1, grid.n_phi)
@@ -409,7 +436,7 @@ def _contacts(grid: SphereGrid) -> tuple[np.ndarray, ...]:
     gamma_mid = 0.5 * (gammas[a] + gammas[b])
     mid = 0.5 * (va[hit] + vb[hit])
     # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
-    planar = np.array([math.hypot(x, y) for x, y, _ in mid.tolist()])
+    planar = np.fromiter(map(math.hypot, *mid[:, :2].T.tolist()), float, len(a))
     order = np.lexsort((b, a, -np.abs(gamma_mid), planar))
     return a[order], b[order], separation[hit][order], gamma_mid[order], planar[order]
 
@@ -424,7 +451,8 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     rejects the legitimate closing of rings near the poles.  Events are
     ordered by planar_radius_mid, then -|gamma_mid|, vertex_a, vertex_b.
     """
-    return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in _contacts(grid)))]
+    events = _contacts(grid, *_detection_sphere(grid))
+    return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in events))]
 
 
 def singular_point_closeup(
@@ -435,12 +463,13 @@ def singular_point_closeup(
 ) -> TriMesh:
     """Amplified patch around the sphere's self-contact nearest the axis.
 
-    The sphere is scanned at the detection resolution; among the contact
-    events the one closest to the z-axis (ties broken towards the poles)
-    selects a gamma neighborhood of half-width `window`, which is re-meshed
-    over the full phi circle at the requested patch resolution, at least
-    (3, 3) (ValueError).  Raises NoSingularityError when the sphere has no
-    self-contact, i.e. the radius is below the first conjugate radius.
+    The sphere is scanned at the detection resolution, near the z-axis
+    first; among the contact events the one closest to the axis (ties
+    broken towards the poles) selects a gamma neighborhood of half-width
+    `window`, which is re-meshed over the full phi circle at the requested
+    patch resolution, at least (3, 3) (ValueError).  Raises
+    NoSingularityError when the sphere has no self-contact, i.e. the radius
+    is below the first conjugate radius.
     """
     if not window > 0.0:
         raise ValueError("window must be positive")
@@ -448,7 +477,13 @@ def singular_point_closeup(
     if n_phi < 3 or n_gamma < 3:
         raise ValueError("closeup resolution needs n_phi >= 3 and n_gamma >= 3")
     grid = SphereGrid(n_phi=detection_grid[0], n_gamma=detection_grid[1], radius=radius)
-    gamma_mid = _contacts(grid)[3]
+    mesh, threshold = _detection_sphere(grid)
+    # The near pass's first event is the first of all once planar_mid +
+    # threshold <= reach (see the module docstring); otherwise search it all.
+    reach = _CLOSEUP_REACH * threshold
+    *_, gamma_mid, planar = _contacts(grid, mesh, threshold, reach)
+    if not (planar.size and planar[0] + threshold <= reach):
+        gamma_mid = _contacts(grid, mesh, threshold)[3]
     if not gamma_mid.size:
         raise NoSingularityError(
             f"no singularity found below radius {radius}; the sphere appears embedded"
@@ -486,7 +521,7 @@ def first_singular_radius(
 
     def has_contact(radius: float) -> bool:
         grid = SphereGrid(detection_grid[0], detection_grid[1], radius)
-        return len(_contacts(grid)[0]) > 0
+        return len(_contacts(grid, *_detection_sphere(grid))[0]) > 0
 
     if has_contact(lo):
         raise ValueError(f"lower bracket {lo} already shows self-contact")

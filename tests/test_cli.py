@@ -396,6 +396,19 @@ class TestExitCodes:
         assert code == 2 and stdout == "" and err.startswith("heisgeo: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, code",
+        [(["--nphi", "2"], 2), (["--nphi", "8", "--ngamma", "8"], 4),
+         (["--nphi", "16", "--ngamma", "16"], 4)],
+        ids=["nphi2", "8x8", "16x16"],
+    )
+    def test_rejected_figures_write_nothing(self, capsys, tmp_path, grid, code):
+        # A grid too small for the sphere, or one on which the close-ups
+        # find no contact, is refused before the first figure is written.
+        out_dir = tmp_path / "figures"
+        assert run(["figures", "--out-dir", str(out_dir), *grid], capsys)[0] == code
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_io_failure(self, capsys, tmp_path):
         code, _, err = run(
             ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6",

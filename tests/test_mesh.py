@@ -29,7 +29,7 @@ from heisgeo.meshing import (
     sphere_exp_mesh,
     sphere_proximity_events,
 )
-from heisgeo.meshing import _close_pairs
+from heisgeo.meshing import _close_pairs, _contacts, _detection_sphere
 from heisgeo.writers import write_obj
 
 TWO_PI = 2.0 * math.pi
@@ -200,6 +200,48 @@ class TestProximityDetector:
         sphere_proximity_events(SphereGrid(*grid, radius))
         assert radii == [0.1 * median]
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(3, 3), (3, 4), (4, 3), (7, 5), (12, 9), (30, 50), (48, 96), (64, 128), (96, 192)],
+        ids=_shape_id,
+    )
+    def test_threshold_from_vertex_slices(self, grid):
+        # The face-edge median the detector took before, as the reference:
+        # the slices of the vertex array must give the same bits.
+        for radius in (0.5, 1.0, 3.3, 5.0, 20.0, 1e3, 1e5):
+            mesh, threshold = _detection_sphere(SphereGrid(*grid, radius))
+            ends = np.roll(mesh.faces, -1, axis=1)
+            forward = mesh.faces < ends
+            lengths = np.linalg.norm(
+                mesh.vertices[mesh.faces[forward]] - mesh.vertices[ends[forward]], axis=1
+            )
+            assert threshold == 0.1 * float(np.median(lengths)), radius
+
+    @pytest.mark.parametrize(
+        "grid, radius",
+        [((30, 50), 5.0), ((48, 96), 6.0), ((48, 96), 20.0), ((64, 128), 5.0),
+         ((96, 192), 35.0)],
+    )
+    def test_contacts_within_reach(self, grid, radius):
+        # The near-axis pass returns the full event list filtered to pairs
+        # with both vertices within reach, in the same order.
+        grid = SphereGrid(*grid, radius)
+        mesh, threshold = _detection_sphere(grid)
+        full = _contacts(grid, mesh, threshold)
+        assert full[0].size
+        planar = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        outer = np.maximum(planar[full[0]], planar[full[1]])
+        # Reaches that keep none, some and all of the events, including the
+        # event vertices' own planar radii, where the cut is exactly at a pair.
+        cuts = np.quantile(outer, [0.0, 0.3, 0.7], method="lower")
+        reaches = [0.0, threshold, 8.0 * threshold, *cuts, float(outer.max()), math.inf]
+        for reach in reaches:
+            within = outer <= reach
+            got = _contacts(grid, mesh, threshold, reach)
+            assert len(got) == len(full)
+            for g, f in zip(got, full):
+                assert g.tobytes() == f[within].tobytes(), reach
+
 
 def _tree_pairs(points, r):
     """cKDTree.query_pairs, the reference for _close_pairs."""
@@ -331,24 +373,64 @@ class TestCloseup:
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
 
-    @pytest.mark.parametrize("grid", [(48, 96), (64, 128), (96, 192)], ids=_shape_id)
-    def test_centred_on_the_first_event(self, grid):
-        # The figures' detection grids: the patch's gamma rows are the
-        # linspace around the first event's gamma_mid, bit for bit, and no
-        # event means no patch.  Rows reaching a pole collapse to one vertex.
+    @pytest.mark.parametrize(
+        "grid", [(3, 3), (7, 5), (30, 50), (48, 96), (64, 128), (96, 192)], ids=_shape_id
+    )
+    def test_centred_on_the_first_event(self, monkeypatch, grid):
+        # The figures' detection grids and three coarse ones: the patch's
+        # gamma rows are the linspace around the full search's first event's
+        # gamma_mid, bit for bit, and no event means no patch.  Rows reaching
+        # a pole collapse to one vertex.  48x96 at radius 6 has its first
+        # event ~30 thresholds off the axis, so the near pass finds nothing
+        # and the full search supplies it.
         window, n_gamma = 0.08, 48
-        for radius in (3.3, 4.0, 5.0, 7.5, 20.0, 35.0):
-            events = sphere_proximity_events(SphereGrid(*grid, radius))
-            if not events:
+        searches = []
+
+        def contacts(*args):
+            searches.append("near" if len(args) == 4 else "full")
+            return _contacts(*args)
+
+        monkeypatch.setattr(heisgeo.meshing, "_contacts", contacts)
+        for radius in (3.234, 3.3, 4.0, 5.0, 6.0, 7.5, 20.0, 35.0, 100.0, 1e3, 1e5):
+            sphere = SphereGrid(*grid, radius)
+            gamma_mid = _contacts(sphere, *_detection_sphere(sphere))[3]
+            searches.clear()
+            if not gamma_mid.size:
                 with pytest.raises(NoSingularityError):
                     singular_point_closeup(radius, window, (96, n_gamma), grid)
+                assert searches == ["near", "full"], radius
                 continue
-            c = events[0].gamma_mid
+            c = float(gamma_mid[0])
             mesh = singular_point_closeup(radius, window, (96, n_gamma), grid)
+            fallback = (grid, radius) == ((48, 96), 6.0)
+            assert searches == ["near", "full"] if fallback else ["near"], radius
             gammas = mesh.vertex_scalars["gamma"]
             rows = gammas[np.concatenate([[True], gammas[1:] != gammas[:-1]])]
             expected = np.linspace(max(-1.0, c - window), min(1.0, c + window), n_gamma)
             assert rows.tobytes() == expected.tobytes(), radius
+
+    @pytest.mark.parametrize(
+        "reach, radius, grid, n_near",
+        [(0.0, 5.0, (48, 96), 0), (1.0, 35.0, (30, 50), 180), (2.0, 5.0, (48, 96), 288),
+         (2.0, 20.0, (96, 192), 192)],
+    )
+    def test_short_reach_falls_back(self, monkeypatch, reach, radius, grid, n_near):
+        # Reaches shorter than the default's 8 thresholds: the near pass
+        # finds no event, or events it cannot certify as the first, so the
+        # full search runs and the patch is the default reach's.
+        want = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
+        found = []
+
+        def contacts(*args):
+            events = _contacts(*args)
+            found.append(len(events[0]))
+            return events
+
+        monkeypatch.setattr(heisgeo.meshing, "_CLOSEUP_REACH", reach)
+        monkeypatch.setattr(heisgeo.meshing, "_contacts", contacts)
+        got = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
+        assert got == want
+        assert found[0] == n_near and len(found) == 2 and found[1] > n_near
 
     @pytest.mark.parametrize("build", [
         lambda: sphere_proximity_events(SphereGrid(8, 8, 1e103)),
