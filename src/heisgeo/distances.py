@@ -33,8 +33,10 @@ with m = _sin_defect.  Two charts keep it well conditioned:
 On the axis (rho = 0) the closed form is d = |z| up to the conjugate
 height pi and d = sqrt(2 pi |z| - pi^2) beyond it; far-half targets with
 a subnormal rho take it too, as their t would be subnormal.  Each 1-D
-solve is a safeguarded Newton-bisection, vectorized over targets
-(riemannian_distance_many).  Every result is certified before it is
+solve is a safeguarded Newton-bisection over float64 scalars for one
+target (riemannian_distance, shoot_candidates) and arrays for a batch
+(riemannian_distance_many), through the same functions, so a distance has
+the same bits alone or in a batch.  Every result is certified before it is
 returned: the geodesic's endpoint, rebuilt with origin_coordinates, must
 hit the target to tol * max(1, |target|) plus one rounding unit, and d
 must lie in rho <= d <= rho + min(|z|, sqrt(2 pi |z|)) (the planar
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ORIGIN, HeisPoint, left_quotient
-from .geodesics import GeodesicSpec, _sinc, _sin_defect, origin_coordinates
+from .geodesics import GeodesicSpec, _select, _sin_defect, _sinc, origin_coordinates
 
 __all__ = [
     "ShootingSolution",
@@ -160,7 +162,8 @@ def _near_half(w, rho, z):
     sinc = _sinc(w)
     rho2 = rho * rho
     value = w + 2.0 * rho2 * w * defect / (sinc * sinc) - z
-    slope = 1.0 + rho2 * (1.0 - 4.0 * defect * np.cos(w) / sinc**3)
+    # np.power, not **, for the same bits on scalars (see origin_coordinates).
+    slope = 1.0 + rho2 * (1.0 - 4.0 * defect * np.cos(w) / np.power(sinc, 3))
     return value, slope
 
 
@@ -207,111 +210,124 @@ def _solve_increasing(residual, x, lo, hi, *params):
     """Root in [lo, hi] of an increasing residual(x, *params), vectorized.
 
     lo, hi and params (such as rho, |z| and the window's end) broadcast
-    against x.  Safeguarded Newton: every evaluation shrinks the bracket by
-    the sign of the residual, and a step that leaves the bracket is replaced
-    by bisection.  An entry stops on an exact zero, after a Newton step
-    below _CUT_STEP_TOL relative (the convergence is quadratic, so the point
-    it lands on is accurate to rounding), or when its bracket has collapsed
-    to rounding; a stopped entry keeps its x, lo and hi.  Entries still
-    moving at the iteration cap return their last iterate, for the caller's
-    certificate to judge.
+    against x; x is an array, or a float64 scalar for one target.
+    Safeguarded Newton: every evaluation shrinks the bracket by the sign of
+    the residual, and a step that leaves the bracket is replaced by
+    bisection.  An entry stops on an exact zero, after a Newton step below
+    _CUT_STEP_TOL relative (the convergence is quadratic, so the point it
+    lands on is accurate to rounding), or when its bracket has collapsed to
+    rounding; a stopped entry keeps its x.  Entries still moving at the
+    iteration cap return their last iterate, for the caller's certificate
+    to judge.
     """
-    done = np.zeros_like(x, dtype=bool)
+    done = np.zeros(np.shape(x), dtype=bool)
     for _ in range(_CUT_ITERATIONS):
         if done.all():
             break
         value, slope = residual(x, *params)
-        lo = np.where(~done & (value < 0.0), x, lo)
-        hi = np.where(~done & (value > 0.0), x, hi)
+        lo = _select(value < 0.0, x, lo)
+        hi = _select(value > 0.0, x, hi)
         new = x - value / slope
         newton = (new >= lo) & (new <= hi)
-        new = np.where(newton, new, 0.5 * (lo + hi))
+        new = _select(newton, new, 0.5 * (lo + hi))
         root = value == 0.0
         stop = (
             root
-            | (newton & (np.abs(new - x) <= _CUT_STEP_TOL * np.abs(new)))
-            | (hi - lo <= 4.0 * _EPS * np.abs(hi))
+            | (newton & (abs(new - x) <= _CUT_STEP_TOL * abs(new)))
+            | (hi - lo <= 4.0 * _EPS * abs(hi))
         )
-        x = np.where(done | root, x, new)
+        x = _select(done | root, x, new)
         done |= stop
     return x
 
 
-def _cut_time_geodesics(x, y, z) -> tuple[np.ndarray, ...]:
+def _axis_chart(rho, height):
+    """(s, |gamma|, r) on the z-axis, where rho does not enter.
+
+    The vertical line up to the conjugate height pi, then the rotation
+    family returning to the axis at w = pi.
+    """
+    winds = height > math.pi
+    s = _select(winds, np.sqrt(2.0 * math.pi * height - math.pi**2), height)
+    gamma = _select(winds, math.pi / s, 1.0)
+    return s, gamma, np.sqrt((1.0 - gamma) * (1.0 + gamma))
+
+
+def _near_chart(rho, height):
+    """(s, |gamma|, r) in the near half: F is solved for w in [0, pi/2]."""
+    # F is convex with F'(0) = 1 + rho^2/3: its tangent at 0 starts Newton
+    # at or above the root.
+    start = np.minimum(height / (1.0 + rho * rho / 3.0), 0.5 * math.pi)
+    w = _solve_increasing(_near_half, start, 0.0, 0.5 * math.pi, rho, height)
+    sinc = _sinc(w)
+    # Where w and rho are both subnormal, s is too, and gamma = w / s and r
+    # would keep only the few digits s has.  Scaling by 2^600 is exact and
+    # keeps them all; elsewhere up is 1.
+    up = _select(np.maximum(w, rho) < _TINY, 2.0**600, 1.0)
+    s_up = np.hypot(w * up, rho * up / sinc)
+    return s_up / up, w * up / s_up, rho * up / (sinc * s_up)
+
+
+def _far_chart(rho, height):
+    """(s, |gamma|, r) in the far half: F is solved for t = -rho cot(w) >= 0."""
+    # |z| >= (pi/2)(1 + q^2/2) bounds t above.  The start takes the larger
+    # of the far-axis estimate pi (1 + q^2/2) = |z| and the small-q estimate
+    # w = |z|.
+    top = np.sqrt(np.maximum(4.0 * height / math.pi - 2.0 - rho * rho, 0.0))
+    wide = np.sqrt(np.maximum(2.0 * (height / math.pi - 1.0) - rho * rho, 0.0))
+    turn = rho * np.tan(np.minimum(height, math.pi) - 0.5 * math.pi)
+    start = np.minimum(np.maximum(wide, turn), top)
+    t = _solve_increasing(_window, start, 0.0, top, rho, height, math.pi)
+    return _window_geodesics(t, rho, math.pi)
+
+
+def _cut_time_geodesics(x, y, z):
     """Shortest geodesic from the origin to each target (x[i], y[i], z[i]).
 
     Returns (s, gamma, r, phi): the arc length, which is the distance, the
     signed vertical velocity component, the planar speed and the planar
-    direction.  Uncertified: the caller passes the geodesics to _certify
-    before returning them.
+    direction.  Arrays are solved chart by chart under masks; one finite
+    target, given as scalars, takes its one chart on float64 scalars
+    through the same chart functions, with the same bits.  Uncertified: the
+    caller passes the geodesics to _certify before returning them.
     """
     rho = np.hypot(x, y)
     height = np.abs(z)
-    s = np.full_like(rho, np.nan)
-    gamma = np.full_like(rho, np.nan)
-    r = np.full_like(rho, np.nan)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
-        # Axis: the vertical line up to the conjugate height pi, then the
-        # rotation family returning to the axis at w = pi.  A subnormal
-        # planar offset in the far half joins it: the far chart's t would be
-        # subnormal too and keep few digits, and the offset is below every
-        # tolerance.
+        # A subnormal planar offset in the far half joins the axis: the far
+        # chart's t would be subnormal too and keep few digits, and the
+        # offset is below every tolerance.
         axis = (rho == 0.0) | ((rho < _TINY) & (height > split))
-        i = np.flatnonzero(axis)
-        h = height[i]
-        winds = h > math.pi
-        s[i] = np.where(winds, np.sqrt(2.0 * math.pi * h - math.pi**2), h)
-        gamma[i] = np.where(winds, math.pi / s[i], 1.0)
-        r[i] = np.sqrt((1.0 - gamma[i]) * (1.0 + gamma[i]))
-
-        i = np.flatnonzero((rho > 0.0) & (height <= split))
-        if i.size:
-            rho_i, h = rho[i], height[i]
-            # F is convex with F'(0) = 1 + rho^2/3: its tangent at 0 starts
-            # Newton at or above the root.
-            start = np.minimum(h / (1.0 + rho_i * rho_i / 3.0), 0.5 * math.pi)
-            w = _solve_increasing(_near_half, start, 0.0, 0.5 * math.pi, rho_i, h)
-            sinc = _sinc(w)
-            # Where w and rho are both subnormal, s is too, and gamma = w / s
-            # and r would keep only the few digits s has.  Scaling by 2^600
-            # is exact and keeps them all; elsewhere up is 1.
-            up = np.where(np.maximum(w, rho_i) < _TINY, 2.0**600, 1.0)
-            s_up = np.hypot(w * up, rho_i * up / sinc)
-            s[i] = s_up / up
-            gamma[i] = w * up / s_up
-            r[i] = rho_i * up / (sinc * s_up)
-
-        i = np.flatnonzero(~axis & (height > split))
-        if i.size:
-            rho_i, h = rho[i], height[i]
-            # |z| >= (pi/2)(1 + q^2/2) bounds t above.  The start takes the
-            # larger of the far-axis estimate pi (1 + q^2/2) = |z| and the
-            # small-q estimate w = |z|.
-            top = np.sqrt(np.maximum(4.0 * h / math.pi - 2.0 - rho_i * rho_i, 0.0))
-            wide = np.sqrt(np.maximum(2.0 * (h / math.pi - 1.0) - rho_i * rho_i, 0.0))
-            turn = rho_i * np.tan(np.minimum(h, math.pi) - 0.5 * math.pi)
-            start = np.minimum(np.maximum(wide, turn), top)
-            t = _solve_increasing(_window, start, 0.0, top, rho_i, h, math.pi)
-            s[i], gamma[i], r[i] = _window_geodesics(t, rho_i, math.pi)
-
-        gamma = np.where(z < 0.0, -gamma, gamma)
+        near = (rho > 0.0) & (height <= split)
+        if isinstance(rho, np.ndarray):
+            s, gamma, r = (np.full_like(rho, np.nan) for _ in range(3))
+            for chart, mask in (
+                (_axis_chart, axis), (_near_chart, near), (_far_chart, ~axis & (height > split))
+            ):
+                i = np.flatnonzero(mask)
+                if i.size:
+                    s[i], gamma[i], r[i] = chart(rho[i], height[i])
+        else:
+            chart = _axis_chart if axis else _near_chart if near else _far_chart
+            s, gamma, r = chart(rho, height)
+        gamma = _select(z < 0.0, -gamma, gamma)
         phi = np.arctan2(y, x) - gamma * s
     return s, gamma, r, phi
 
 
-def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest) -> np.ndarray:
+def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
     """Endpoint heights of geodesics from the origin, each certified.
 
     Arguments broadcast: geodesic i has arc length s[i] and initial data
-    (r[i], phi[i], gamma[i]), and its target is (x[i], y[i], z[i]).  Its
-    endpoint, rebuilt with origin_coordinates, must hit the target to
-    tol * max(1, |target|) plus one rounding unit of the target's scale
-    (the rebuild is in double precision, so its miss is known to that unit
-    at best).  Every length must be at least rho, and where shortest is
-    true at most rho + min(|z|, sqrt(2 pi |z|)) (module docstring).
-    Raises ShootingConvergenceError naming the first geodesic that fails.
+    (r[i], phi[i], gamma[i]), and its target is (x[i], y[i], z[i]); all of
+    them may be scalars, for one geodesic.  Its endpoint, rebuilt with
+    origin_coordinates, must hit the target to tol * max(1, |target|) plus
+    one rounding unit of the target's scale (the rebuild is in double
+    precision, so its miss is known to that unit at best).  Every length
+    must be at least rho, and where shortest is true at most
+    rho + min(|z|, sqrt(2 pi |z|)) (module docstring).  Raises
+    ShootingConvergenceError naming the first geodesic that fails.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ex, ey, ez = origin_coordinates(r, phi, gamma, s)
@@ -319,7 +335,7 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest) -> np.ndarray:
         height = np.abs(z)
         miss = np.hypot(np.hypot(ex - x, ey - y), ez - z)
         scale = np.maximum(1.0, np.hypot(rho, z))
-        upper = np.where(
+        upper = _select(
             shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf
         )
         certified = (
@@ -329,7 +345,9 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest) -> np.ndarray:
         )
     if not certified.all():
         k = int(np.flatnonzero(~certified)[0])
-        x, y, z, s, rho, upper, scale = np.broadcast_arrays(x, y, z, s, rho, upper, scale)
+        x, y, z, s, rho, upper, scale, miss = (
+            np.ravel(a) for a in np.broadcast_arrays(x, y, z, s, rho, upper, scale, miss)
+        )
         raise ShootingConvergenceError(
             f"cannot certify the geodesic to ({x[k]}, {y[k]}, {z[k]}): endpoint "
             f"miss {miss[k]:.3g} against tolerance {tol * scale[k]:.3g}, length "
@@ -379,9 +397,14 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
     docstring); every value is certified or ShootingConvergenceError is
     raised.
     """
+    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    return _certified_distance(x, y, z, tol)
+
+
+def _certified_distance(x, y, z, tol: float):
+    """The cut-time length to (x, y, z), arrays or scalars, once certified."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
     s, gamma, r, phi = _cut_time_geodesics(x, y, z)
     _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
     return s
@@ -419,8 +442,8 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     if 2.0 * height / math.pi > _MAX_CANDIDATES:
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
-    s, gamma, r, _ = _cut_time_geodesics(np.array([x]), np.array([y]), np.array([z]))
-    axis = bool(rho <= _EPS * s[0])
+    s, gamma, r, _ = _cut_time_geodesics(x, y, z)
+    axis = bool(rho <= _EPS * s)
     if axis:
         # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
         # cut-time solution), then the vertical line as the limit k pi = |z|.
@@ -458,10 +481,11 @@ def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:
     """Riemannian distance between p and q, certified (see the module docstring).
 
     Left-invariant by construction: the problem is translated to
-    distance(0, p^-1 * q) and solved by riemannian_distance_many.
+    distance(0, p^-1 * q).  The one target is solved on float64 scalars by
+    the same functions as riemannian_distance_many, with the same bits.
     """
     delta = left_quotient(p, q)
-    return float(riemannian_distance_many([(delta.x, delta.y, delta.z)], tol=tol)[0])
+    return float(_certified_distance(delta.x, delta.y, delta.z, tol))
 
 
 def _lattice_miss(gamma, s, rho, z_t):

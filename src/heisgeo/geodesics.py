@@ -78,12 +78,32 @@ TWO_PI = 2.0 * math.pi
 _UNIT_TOL = 1e-12
 
 
+def _select(condition, a, b):
+    """np.where(condition, a, b) on arrays, a plain conditional on one value.
+
+    Lets one function body serve a batch (arrays) and a single target
+    (float64 scalars) with the same expressions, hence the same bits.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+def _as_float(a):
+    """A float64 scalar for a number, else a float64 array.
+
+    Scalars are np.float64, not Python floats, so that overflow and division
+    by zero give inf or nan under np.errstate as they do in an array.
+    """
+    return np.float64(a) if isinstance(a, (float, int)) else np.asarray(a, dtype=float)
+
+
 def _sinc(w):
     """sin(w)/w, equal to 1 at w = 0; stable for all w."""
-    w = np.asarray(w, dtype=float)
+    w = _as_float(w)
     zero = w == 0.0
-    safe = np.where(zero, 1.0, w)
-    return np.where(zero, 1.0, np.sin(safe) / safe)
+    safe = _select(zero, 1.0, w)
+    return _select(zero, 1.0, np.sin(safe) / safe)
 
 
 def _sin_defect(w):
@@ -91,14 +111,22 @@ def _sin_defect(w):
 
     Direct evaluation cancels catastrophically for small w; below |w| = 0.5
     the alternating series sum (-1)^k w^(2k) / (2k+3)! is used, truncated
-    where the next term falls below double precision.
+    where the next term falls below double precision.  A scalar w evaluates
+    only the form it takes.
     """
-    w = np.asarray(w, dtype=float)
+    w = _as_float(w)
+    small = abs(w) < 0.5
+    if not isinstance(small, np.ndarray):
+        return _defect_series(w) if small else _defect_direct(w)
+    return np.where(small, _defect_series(w), _defect_direct(np.where(small, 1.0, w)))
+
+
+def _defect_series(w):
     w2 = w * w
     w4 = w2 * w2
     w6 = w4 * w2
     w8 = w6 * w2
-    series = (
+    return (
         1.0 / 6.0
         - w2 / 120.0
         + w4 / 5040.0
@@ -106,29 +134,30 @@ def _sin_defect(w):
         + w8 / 39916800.0
         - w8 * w2 / 6227020800.0
     )
-    small = np.abs(w) < 0.5
-    safe = np.where(small, 1.0, w)
-    direct = (safe - np.sin(safe)) / (safe * safe * safe)
-    return np.where(small, series, direct)
+
+
+def _defect_direct(w):
+    return (w - np.sin(w)) / (w * w * w)
 
 
 def origin_coordinates(r, phi, gamma, s):
     """Coordinates of the geodesic from the origin, vectorized.
 
-    Arguments broadcast; returns (x, y, z) arrays.  Grid evaluation over
-    many parameters is a plain broadcast with no shared state.  Past
-    s ~ 5.6e102, s**3 overflows: the result is non-finite, without a warning.
+    Arguments broadcast; returns (x, y, z) arrays, or float64 scalars when
+    every argument is a scalar.  Grid evaluation over many parameters is a
+    plain broadcast with no shared state.  Past s ~ 5.6e102, s**3
+    overflows: the result is non-finite, without a warning.
     """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    s = np.asarray(s, dtype=float)
+    r, phi, gamma, s = _as_float(r), _as_float(phi), _as_float(gamma), _as_float(s)
     with np.errstate(over="ignore", invalid="ignore"):
         w = gamma * s
         rs_sinc = r * s * _sinc(w)
         x = rs_sinc * np.cos(phi + w)
         y = rs_sinc * np.sin(phi + w)
-        z = 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * s**3 * _sin_defect(2.0 * w)
+        # np.power, not **: on a float64 scalar, ** calls the C library's pow,
+        # which can differ from the ufunc an array takes in the last bit.
+        cube = np.power(s, 3)
+        z = 0.5 * gamma * s + 0.25 * np.sin(2.0 * w) + 2.0 * gamma * cube * _sin_defect(2.0 * w)
     # x and y depend on every argument and so have the full shape; z has no
     # r or phi dependence.  Give callers uniformly shaped outputs.
     if z.shape != x.shape:

@@ -390,13 +390,6 @@ class TestCutTimeSolver:
         d = riemannian_distance(ORIGIN, HeisPoint(*target))
         assert d == pytest.approx(_mp_cut_time_distance(target[0], target[2]), rel=1e-12)
 
-    def test_batch_matches_single_calls(self):
-        targets = np.array([[0.3, -0.2, 1.5], [0, 0, -4.0], [2.0, 1.0, 0.0], [0, 0, 0]])
-        batch = riemannian_distance_many(targets)
-        single = [riemannian_distance(ORIGIN, HeisPoint(*t)) for t in targets]
-        assert batch.tolist() == single
-        assert batch[-1] == 0.0
-
     def test_uncertifiable_tolerance_raises(self):
         with pytest.raises(ShootingConvergenceError, match="cannot certify"):
             riemannian_distance_many([[1.0, 0.0, 0.0]], tol=1e-30)
@@ -497,7 +490,77 @@ def _distance(x, y, z):
     return riemannian_distance(ORIGIN, HeisPoint(x, y, z))
 
 
+# (target, tol): every chart of the cut-time solve and its edges, and four
+# targets the certificate refuses.
+_EDGE_CASES = [
+    ((0.0, 0.0, 0.0), 1e-8),
+    ((0.0, 0.0, math.pi), 1e-8),  # axis, at the conjugate height
+    ((0.0, 0.0, math.nextafter(math.pi, 4.0)), 1e-8),  # axis, just above it
+    ((0.0, 0.0, -4.0), 1e-8),
+    ((0.3, -0.2, 1.5), 1e-8),  # near half
+    ((2.0, 1.0, 0.0), 1e-8),
+    ((0.1, 0.0, 20.0), 1e-8),  # far half
+    ((1e-310, 0.0, 5.0), 1e-8),  # far half, subnormal rho: the axis chart
+    ((2.2250738585e-313, 0.0, 0.0), 1e-8),  # near half, subnormal w and rho
+    ((1e-300, 0.0, 1.0), 1e-8),  # next to the axis
+    ((1e-5, 0.0, 1e4), 1e-8),
+    # Near half: sinc**3 on a scalar (the C library's pow) rounded one Newton
+    # step apart from the array's ufunc, and the distance by one unit.
+    ((-60.21829900126279, -69.5265206451336, -3247.3845928536352), 1e-8),
+    (_fold_target(0.5, 5.0), 1e-14),
+    (_fold_target(2.0, -50.0), 1e-14),
+    ((1.0, 0.0, 0.0), 1e-30),  # refused: below the rounding of the rebuild
+    ((1e103, 0.0, 0.0), 1e-8),  # refused: s**3 overflows, endpoint miss nan
+    ((2e154, 0.0, 0.0), 1e-8),  # refused: squares overflow
+    ((1e150, 0.0, 1e300), 1e-8),
+]
+
+
+def _with_edge_cases(test):
+    for target, tol in _EDGE_CASES:
+        test = example(target, tol)(test)
+    return test
+
+
+def _outcome(solve):
+    """The distance solve() returns as its hex digits, or the refusal."""
+    try:
+        return float(solve()).hex()
+    except ShootingConvergenceError as exc:
+        return f"refused: {exc}"
+
+
 class TestCutTimeProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_targets(), st.sampled_from([1e-8, 1e-13]))
+    @_with_edge_cases
+    def test_same_bits_alone_or_in_a_batch(self, target, tol):
+        # One target is solved on float64 scalars, a batch on arrays, by the
+        # same functions: the same bits, or the same refusal.
+        batch = _outcome(lambda: riemannian_distance_many([target], tol=tol)[0])
+        alone = _outcome(lambda: riemannian_distance(ORIGIN, HeisPoint(*target), tol=tol))
+        assert alone == batch
+        if target != (0.0, 0.0, 0.0) and abs(target[2]) <= 1e3 and "refused" not in batch:
+            assert _outcome(lambda: shoot_candidates(HeisPoint(*target), tol=tol)[0].s) == batch
+
+    @pytest.mark.parametrize("target, tol", _EDGE_CASES)
+    def test_no_warning_or_python_arithmetic_error(self, target, tol):
+        # Scalars are float64: overflow and division by zero give inf or nan
+        # for the certificate to refuse, as in an array, and raise neither a
+        # numpy warning nor OverflowError or ZeroDivisionError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                riemannian_distance(ORIGIN, HeisPoint(*target), tol=tol)
+            except ShootingConvergenceError as exc:
+                assert target != (1e103, 0.0, 0.0) or "endpoint miss nan" in str(exc)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        for q in (HeisPoint(1, 0, 0), ORIGIN):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                riemannian_distance(ORIGIN, q, tol=tol)
+
     @settings(max_examples=400, deadline=None)
     @given(_targets())
     def test_bounds(self, target):

@@ -10,6 +10,8 @@ import pytest
 from heisgeo.core import ORIGIN, FrameVector, HeisPoint, inner_product
 from heisgeo.geodesics import (
     GeodesicSpec,
+    _sin_defect,
+    _sinc,
     exp_map,
     geodesic_from_origin,
     geodesic_from_point,
@@ -221,6 +223,30 @@ class TestOriginCoordinates:
         # (a RuntimeWarning fails the suite).
         x, y, z = origin_coordinates(0.6, 0.3, 0.8, s)
         assert np.isfinite([x, y]).all() and np.isfinite(z) == (s < 5.6e102)
+
+    def test_scalars_match_arrays(self):
+        # One value takes the scalar branches (only the form it needs);
+        # an array takes the masks.  Both give the same bits, including at
+        # the series' edge |w| = 0.5, at 0 and at subnormal and huge w.
+        w = np.concatenate([
+            np.linspace(-4.0, 4.0, 4001),
+            [0.5, -0.5, math.nextafter(0.5, 0.0), 5e-324, 1e-300, 1e-8, 1e150],
+        ])
+        for f in (_sinc, _sin_defect):
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch = f(w)
+                alone = np.array([f(float(v)) for v in w])
+            assert alone.tobytes() == batch.tobytes()
+        # Arc lengths whose cubes the C library's pow and numpy's ufunc round
+        # differently in some last bits.
+        rng = np.random.default_rng(24)
+        gamma = rng.uniform(-1.0, 1.0, 200)
+        r = np.sqrt((1.0 - gamma) * (1.0 + gamma))
+        phi = rng.uniform(0.0, TWO_PI, 200)
+        s = rng.uniform(0.0, 10.0, 200)
+        batch = np.column_stack(origin_coordinates(r, phi, gamma, s))
+        alone = np.array([origin_coordinates(*args) for args in zip(r, phi, gamma, s)])
+        assert alone.tobytes() == batch.tobytes()
 
 
 class TestFromPoint:
