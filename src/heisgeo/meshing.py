@@ -15,13 +15,17 @@ that a collapsed end row (a pole, or the plane's apex at s = 0) keeps only
 its first vertex.  Each grid cell is split into two triangles; at a
 collapsed row the triangles that repeat a vertex are dropped, and the rest
 form the fan around the pole.  The phi seam wraps; a partial theta range
-does not.
+does not.  The kept grid points and the faces depend only on the grid's
+shape, so `_grid_topology` builds them once per shape and keeps the last
+few shapes, read-only; each mesh gathers its own vertices and gets its own
+writable copy of the faces.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
 is at most the threshold, a tenth of the median edge length (each edge
 once, from slices of the vertex array; pairs from `_close_pairs`, a cell
-hash).  Pairs adjacent in the parameter grid are ignored, as are pairs
+hash).  The detector reads no faces: its sphere is the vertex grid alone.
+Pairs adjacent in the parameter grid are ignored, as are pairs
 whose separation is comparable to their distance from the nearest pole (the
 mesh legitimately closes up there, which would read as contact near poles).
 `_contacts` keeps the events as arrays in the order of one lexsort, by
@@ -36,6 +40,7 @@ Otherwise the whole sphere is searched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -143,7 +148,41 @@ class SphereGrid:
 DEFAULT_DETECTION_GRID = (96, 192)
 
 
-def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMesh:
+@functools.lru_cache(maxsize=8)
+def _grid_topology(
+    n_rows: int, n_cols: int, collapse_first: bool, collapse_last: bool, wrap: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the kept grid points and the faces of an (n_rows,
+    n_cols) grid, both read-only; see `_grid_mesh` for the layout.
+
+    Memoized: the figures mesh several spheres on one grid, and the faces
+    cost most of a mesh.  Eight shapes hold the plane, the close-up patch
+    and three sphere grids with room to spare.
+    """
+    keep = np.ones((n_rows, n_cols), dtype=bool)
+    keep[0, 1:] = not collapse_first
+    keep[-1, 1:] = not collapse_last
+    index = np.cumsum(keep).reshape(keep.shape) - 1
+    index = np.where(keep, index, index[:, :1]).ravel()
+    cols = np.arange(n_cols if wrap else n_cols - 1)
+    nxt = (cols + 1) % n_cols
+    # Each cell's six corners lo_i, lo_next, hi_next, lo_i, hi_next, hi_i,
+    # as flat grid indices.
+    rows = (np.arange(n_rows - 1)[:, None, None] + [0, 0, 1, 0, 1, 1]) * n_cols
+    faces = np.take(index, rows + np.where([0, 1, 1, 0, 1, 0], nxt[:, None], cols[:, None]))
+    if collapse_last:
+        faces[-1, :, :3] = np.roll(faces[-1, :, :3], 1, axis=-1)
+    faces = faces.reshape(-1, 3)
+    a, b, c = faces.T
+    faces = np.compress((a != b) & (b != c) & (a != c), faces, axis=0)
+    kept = np.flatnonzero(keep)
+    kept.flags.writeable = faces.flags.writeable = False
+    return kept, faces
+
+
+def _grid_mesh(
+    points: np.ndarray, scalars: dict, collapse, wrap: bool, with_faces: bool = True
+) -> TriMesh:
     """Mesh the image of an (n_rows, n_cols) parameter grid.
 
     points has shape (n_rows, n_cols, 3) and every scalar channel broadcasts
@@ -155,33 +194,28 @@ def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMe
     starts no cell.  Faces run row by row, column by column, first triangle
     first.  Triangles that repeat an index are dropped, which leaves one fan
     per collapsed row; a last-row fan is rotated to start at its pole.
+
+    The topology comes from `_grid_topology`, built once per grid shape;
+    the mesh gets its own copy of the faces, so editing them in place
+    leaves the next mesh on the grid alone.  Without with_faces the mesh
+    is the vertex grid alone, with (0, 3) faces.
     """
     if not np.isfinite(points).all():
         raise MeshError("mesh has non-finite vertex coordinates")
-    n_rows, n_cols = points.shape[:2]
-    keep = np.ones((n_rows, n_cols), dtype=bool)
-    keep[0, 1:] = not collapse[0]
-    keep[-1, 1:] = not collapse[1]
-    index = np.cumsum(keep).reshape(keep.shape) - 1
-    index = np.where(keep, index, index[:, :1])
-    cols = np.arange(n_cols if wrap else n_cols - 1)
-    nxt = (cols + 1) % n_cols
-    # Each cell's six corners lo_i, lo_next, hi_next, lo_i, hi_next, hi_i.
-    rows = np.arange(n_rows - 1)[:, None, None] + [0, 0, 1, 0, 1, 1]
-    faces = index[rows, np.where([0, 1, 1, 0, 1, 0], nxt[:, None], cols[:, None])]
-    if collapse[1]:
-        faces[-1, :, :3] = np.roll(faces[-1, :, :3], 1, axis=-1)
-    faces = faces.reshape(-1, 3)
-    a, b, c = faces.T
+    shape = points.shape[:2]
+    kept, faces = _grid_topology(*shape, bool(collapse[0]), bool(collapse[1]), wrap)
     return TriMesh(
-        vertices=points[keep],
-        faces=faces[(a != b) & (b != c) & (a != c)],
-        vertex_scalars={k: np.broadcast_to(v, keep.shape)[keep] for k, v in scalars.items()},
+        vertices=np.take(points.reshape(-1, 3), kept, axis=0),
+        faces=faces.copy() if with_faces else np.empty((0, 3), dtype=np.int64),
+        vertex_scalars={k: np.take(np.broadcast_to(v, shape), kept) for k, v in scalars.items()},
     )
 
 
-def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
-    """Mesh the exp-image of the gamma rows x full phi circle grid.
+def _revolved_grid(
+    gamma_rows: np.ndarray, n_phi: int, radius: float
+) -> tuple[np.ndarray, dict, tuple]:
+    """Points, scalar channels and collapsed end rows of the exp-image of
+    the gamma rows x full phi circle grid.
 
     An end row with |gamma| = 1 collapses to its pole vertex.
     """
@@ -190,7 +224,12 @@ def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> Tri
     r = np.sqrt(np.maximum(0.0, 1.0 - gammas * gammas))
     points = np.stack(origin_coordinates(r, phis, gammas, radius), axis=-1)
     collapse = tuple(np.abs(gamma_rows[[0, -1]]) == 1.0)
-    return _grid_mesh(points, {"gamma": gammas, "phi": phis}, collapse, wrap=True)
+    return points, {"gamma": gammas, "phi": phis}, collapse
+
+
+def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
+    """Mesh the exp-image of the gamma rows x full phi circle grid."""
+    return _grid_mesh(*_revolved_grid(gamma_rows, n_phi, radius), wrap=True)
 
 
 def sphere_exp_mesh(grid: SphereGrid) -> TriMesh:
@@ -259,13 +298,14 @@ def plane_exp_surface(
 def _submesh(mesh: TriMesh, keep: np.ndarray) -> TriMesh:
     """The vertices where keep is true, their scalar channels and the faces
     entirely kept, reindexed."""
+    kept = np.flatnonzero(keep)
     index_map = -np.ones(mesh.n_vertices, dtype=np.int64)
-    index_map[keep] = np.arange(int(keep.sum()))
-    face_keep = keep[mesh.faces].all(axis=1)
+    index_map[kept] = np.arange(len(kept))
+    face_keep = np.take(keep, mesh.faces).all(axis=1)
     return TriMesh(
-        vertices=mesh.vertices[keep],
-        faces=index_map[mesh.faces[face_keep]],
-        vertex_scalars={k: np.asarray(v)[keep] for k, v in mesh.vertex_scalars.items()},
+        vertices=np.take(mesh.vertices, kept, axis=0),
+        faces=np.take(index_map, np.compress(face_keep, mesh.faces, axis=0)),
+        vertex_scalars={k: np.take(v, kept) for k, v in mesh.vertex_scalars.items()},
     )
 
 
@@ -312,7 +352,7 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     defects = radius - riemannian_distance_many(mesh.vertices)
     keep = defects <= tol
     clipped = _submesh(mesh, keep)
-    clipped.vertex_scalars["distance_defect"] = defects[keep]
+    clipped.vertex_scalars["distance_defect"] = np.compress(keep, defects)
     return clipped
 
 
@@ -379,20 +419,25 @@ def _close_pairs(points: np.ndarray, r: float) -> np.ndarray:
     d = np.take(sorted_xyz, first, axis=1) - np.take(sorted_xyz, second, axis=1)
     d *= d
     keep = (d[0] + d[1]) + d[2] <= r2
-    i, j = order[first[keep]], order[second[keep]]
+    i = np.take(order, np.compress(keep, first))
+    j = np.take(order, np.compress(keep, second))
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
 def _detection_sphere(grid: SphereGrid) -> tuple[TriMesh, float]:
-    """The exp-sphere of the grid and its contact threshold, 0.1 x the median
-    edge length.
+    """The vertices of the grid's exp-sphere with their gamma channel, as a
+    mesh without faces, and its contact threshold, 0.1 x the median edge
+    length.
 
     The edges are slices of the vertex array: along each interior ring,
     between neighbouring rings (meridians and the cell diagonals
-    lo_i -> hi_next) and the two pole fans.  These are the sphere's edges,
-    each once, so the median is the one over its face edges a -> b, a < b.
+    lo_i -> hi_next) and the two pole fans.  These are the edges of
+    `sphere_exp_mesh(grid)`, each once, so the median is the one over its
+    face edges a -> b, a < b.
     """
-    mesh = sphere_exp_mesh(grid)
+    gamma_rows = np.linspace(-1.0, 1.0, grid.n_gamma)
+    points, scalars, collapse = _revolved_grid(gamma_rows, grid.n_phi, grid.radius)
+    mesh = _grid_mesh(points, {"gamma": scalars["gamma"]}, collapse, True, with_faces=False)
     v = mesh.vertices
     rings = v[1:-1].reshape(-1, grid.n_phi, 3)
     turned = np.roll(rings, -1, axis=1)
@@ -412,8 +457,9 @@ def _contacts(
     mesh and threshold are `_detection_sphere(grid)`.  Only the vertices
     within reach are searched for close pairs; the default reach keeps all.
     """
-    near = np.flatnonzero(np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= reach)
-    pairs = near[_close_pairs(mesh.vertices[near], threshold)]
+    xyz = mesh.vertices
+    near = np.flatnonzero(np.hypot(xyz[:, 0], xyz[:, 1]) <= reach)
+    pairs = np.take(near, _close_pairs(np.take(xyz, near, axis=0), threshold))
     # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
     # ring formula also puts each pole one ring beyond its neighbor ring.
     ring, col = np.divmod(pairs - 1, grid.n_phi)
@@ -424,21 +470,22 @@ def _contacts(
         at_pole | (d_col <= _PARAM_ADJACENCY)
     )
 
-    va, vb = mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]
+    va, vb = np.take(xyz, pairs[:, 0], axis=0), np.take(xyz, pairs[:, 1], axis=0)
     separation = _row_norms(va - vb)
     pole_distance = np.min(
-        [_row_norms(v - pole) for v in (va, vb) for pole in mesh.vertices[[0, -1]]], axis=0
+        [_row_norms(v - pole) for v in (va, vb) for pole in (xyz[0], xyz[-1])], axis=0
     )
     hit = ~param_close & (separation < _POLE_CLOSURE_RATIO * pole_distance)
 
-    a, b = pairs[hit].T
+    a, b = np.compress(hit, pairs, axis=0).T
     gammas = mesh.vertex_scalars["gamma"]
-    gamma_mid = 0.5 * (gammas[a] + gammas[b])
-    mid = 0.5 * (va[hit] + vb[hit])
+    gamma_mid = 0.5 * (np.take(gammas, a) + np.take(gammas, b))
+    mid = 0.5 * (np.compress(hit, va, axis=0) + np.compress(hit, vb, axis=0))
     # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
     planar = np.fromiter(map(math.hypot, *mid[:, :2].T.tolist()), float, len(a))
     order = np.lexsort((b, a, -np.abs(gamma_mid), planar))
-    return a[order], b[order], separation[hit][order], gamma_mid[order], planar[order]
+    events = (a, b, np.compress(hit, separation), gamma_mid, planar)
+    return tuple(np.take(e, order) for e in events)
 
 
 def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:

@@ -168,14 +168,14 @@ def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`(texts, index)` of a float64 table: one text per distinct bit pattern."""
     bits = table.view(np.int64).ravel()
     order = bits.argsort()
-    ordered = bits[order]
+    ordered = np.take(bits, order)
     first = np.empty(bits.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     index = np.empty(bits.size, dtype=np.intp)
     index[order] = first.cumsum() - 1
     index = index.reshape(table.shape)
-    distinct = ordered[first].view(np.float64)
+    distinct = np.compress(first, ordered).view(np.float64)
     if len(distinct) < _NUMPY_MIN:
         return _python_texts(distinct.tolist(), ".17g", _WIDTH), index
     a = np.abs(distinct)

@@ -29,7 +29,7 @@ from heisgeo.meshing import (
     sphere_exp_mesh,
     sphere_proximity_events,
 )
-from heisgeo.meshing import _close_pairs, _contacts, _detection_sphere
+from heisgeo.meshing import _close_pairs, _contacts, _detection_sphere, _grid_topology
 from heisgeo.writers import write_obj
 
 TWO_PI = 2.0 * math.pi
@@ -207,9 +207,12 @@ class TestProximityDetector:
     )
     def test_threshold_from_vertex_slices(self, grid):
         # The face-edge median the detector took before, as the reference:
-        # the slices of the vertex array must give the same bits.
+        # the slices of the vertex array must give the same bits.  The
+        # detection sphere has no faces; the sphere mesh of the grid does.
         for radius in (0.5, 1.0, 3.3, 5.0, 20.0, 1e3, 1e5):
-            mesh, threshold = _detection_sphere(SphereGrid(*grid, radius))
+            detected, threshold = _detection_sphere(SphereGrid(*grid, radius))
+            mesh = sphere_exp_mesh(SphereGrid(*grid, radius))
+            assert detected.vertices.tobytes() == mesh.vertices.tobytes()
             ends = np.roll(mesh.faces, -1, axis=1)
             forward = mesh.faces < ends
             lengths = np.linalg.norm(
@@ -646,6 +649,111 @@ class TestLoopReference:
     def test_events(self, radius, shape):
         grid = SphereGrid(*shape, radius)
         assert sphere_proximity_events(grid) == _loop_events(grid)
+
+
+def _sphere_family(n_phi, n_gamma):
+    return pytest.param(
+        lambda: sphere_exp_mesh(SphereGrid(n_phi, n_gamma, 2.0)),
+        [1] + [0] * (n_gamma - 2) + [1], n_phi, n_phi, False,
+        id=f"sphere{n_phi}x{n_gamma}",
+    )
+
+
+class TestTopologyCache:
+    """Faces built once per grid shape: a cached mesh equals a cold one."""
+
+    @pytest.mark.parametrize(
+        "build, collapsed, n_cols, n_cells, apex_out",
+        [
+            *(_sphere_family(*shape) for shape in
+              [(3, 3), (3, 4), (4, 3), (7, 5), (48, 96), (64, 128), (96, 192)]),
+            pytest.param(
+                lambda: singular_point_closeup(5.0, resolution=(6, 4), detection_grid=(48, 96)),
+                [0] * 4, 6, 6, False, id="closeup6x4",
+            ),
+            pytest.param(
+                lambda: singular_point_closeup(5.0, detection_grid=(48, 96)),
+                [0] * 48, 96, 96, False, id="closeup96x48",
+            ),
+            pytest.param(
+                lambda: singular_point_closeup(5.0, window=0.9, resolution=(6, 4)),
+                [1, 0, 0, 0], 6, 6, False, id="closeup_to_pole",
+            ),
+            pytest.param(
+                lambda: plane_exp_surface(resolution=(5, 4)),
+                [1, 0, 0, 0], 5, 5, True, id="plane_apex",
+            ),
+            pytest.param(
+                lambda: plane_exp_surface(), [1] + [0] * 95, 128, 128, True, id="plane128x96",
+            ),
+            pytest.param(
+                lambda: plane_exp_surface((0.5, 2.5), (0, 3), (5, 4)),
+                [1, 0, 0, 0], 5, 4, True, id="plane_partial_apex",
+            ),
+            pytest.param(
+                lambda: plane_exp_surface((0.5, 2.5), (1, 3), (5, 4)),
+                [0] * 4, 5, 4, False, id="plane_s_lo",
+            ),
+        ],
+    )
+    def test_cold_and_cached(self, build, collapsed, n_cols, n_cells, apex_out):
+        _grid_topology.cache_clear()
+        cold = build()
+        hits = _grid_topology.cache_info().hits
+        cached = build()
+        assert _grid_topology.cache_info().hits > hits
+        expected = _loop_faces(collapsed, n_cols, n_cells, apex_out)
+        np.testing.assert_array_equal(cold.faces, expected)
+        assert cached.faces.tobytes() == cold.faces.tobytes()
+        assert cached.vertices.tobytes() == cold.vertices.tobytes()
+        assert cached.vertex_scalars.keys() == cold.vertex_scalars.keys()
+        for name, values in cold.vertex_scalars.items():
+            assert cached.vertex_scalars[name].tobytes() == values.tobytes(), name
+        # Each mesh owns writable faces, apart from the cache and each other.
+        shared = _grid_topology(
+            len(collapsed), n_cols, bool(collapsed[0]), bool(collapsed[-1]), n_cells == n_cols
+        )[1]
+        np.testing.assert_array_equal(np.sort(shared, axis=None), np.sort(expected, axis=None))
+        assert cached.faces.flags.writeable and cold.faces.flags.writeable
+        assert not np.shares_memory(cached.faces, cold.faces)
+        assert not np.shares_memory(cached.faces, shared)
+        assert not np.shares_memory(cold.faces, shared)
+
+    def test_mutated_faces_do_not_reach_the_next_mesh(self):
+        grid = SphereGrid(7, 5, 1.0)
+        first = sphere_exp_mesh(grid)
+        want = first.faces.copy()
+        first.faces[:] = 0
+        first.faces[::2] = first.faces[::2, ::-1]
+        assert sphere_exp_mesh(grid).faces.tobytes() == want.tobytes()
+
+    def test_plane_apex_swap_does_not_leak(self):
+        # The plane rewinds its apex fan in place, on its own copy.
+        meshes = [plane_exp_surface(resolution=(12, 6)) for _ in range(3)]
+        for mesh in meshes[1:]:
+            assert mesh.faces.tobytes() == meshes[0].faces.tobytes()
+        np.testing.assert_array_equal(meshes[0].faces, _loop_faces([1] + [0] * 5, 12, 12, True))
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in _grid_topology(9, 7, True, True, True):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_cache_stays_bounded(self):
+        _grid_topology.cache_clear()
+        maxsize = _grid_topology.cache_info().maxsize
+        for n in range(3, maxsize + 8):
+            sphere_exp_mesh(SphereGrid(n, n + 1, 1.0))
+            assert _grid_topology.cache_info().currsize <= maxsize
+        assert _grid_topology.cache_info().currsize == maxsize
+
+    def test_detection_sphere_has_no_faces(self):
+        mesh, _ = _detection_sphere(SphereGrid(12, 9, 5.0))
+        assert mesh.faces.shape == (0, 3) and mesh.faces.flags.writeable
+        assert list(mesh.vertex_scalars) == ["gamma"]
+        sphere = sphere_exp_mesh(SphereGrid(12, 9, 5.0))
+        assert mesh.vertex_scalars["gamma"].tobytes() == sphere.vertex_scalars["gamma"].tobytes()
 
 
 class TestCutaway:
