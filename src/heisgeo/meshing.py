@@ -17,14 +17,14 @@ collapsed row the triangles that repeat a vertex are dropped, and the rest
 form the fan around the pole.  The phi seam wraps; a partial theta range
 does not.  The kept grid points and the faces depend only on the grid's
 shape, so `_grid_topology` builds them once per shape and keeps the last
-few shapes, read-only; each mesh gathers its own vertices and gets its own
-writable copy of the faces.
+few shapes, read-only int32; each mesh gathers its own vertices and gets
+its own writable int64 copy of the faces.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
 is at most the threshold, a tenth of the median edge length (each edge
 once, from slices of the vertex array; pairs from `_close_pairs`, a cell
-hash).  The detector reads no faces: its sphere is the vertex grid alone.
+hash).  The detector builds no faces: its sphere is the point grid.
 Pairs adjacent in the parameter grid are ignored, as are pairs
 whose separation is comparable to their distance from the nearest pole (the
 mesh legitimately closes up there, which would read as contact near poles).
@@ -73,6 +73,11 @@ class MeshError(ValueError):
     """Raised when a mesh violates its structural invariants."""
 
 
+def _require_finite(points: np.ndarray) -> None:
+    if not np.isfinite(points).all():
+        raise MeshError("mesh has non-finite vertex coordinates")
+
+
 class NoSingularityError(RuntimeError):
     """Raised when no self-contact exists below the requested radius."""
 
@@ -98,8 +103,7 @@ class TriMesh:
         return self.faces.shape[0]
 
     def validate(self) -> None:
-        if not np.isfinite(self.vertices).all():
-            raise MeshError("mesh has non-finite vertex coordinates")
+        _require_finite(self.vertices)
         if self.faces.size:
             if self.faces.min() < 0 or self.faces.max() >= self.n_vertices:
                 raise MeshError("face index out of range")
@@ -153,16 +157,17 @@ def _grid_topology(
     n_rows: int, n_cols: int, collapse_first: bool, collapse_last: bool, wrap: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the kept grid points and the faces of an (n_rows,
-    n_cols) grid, both read-only; see `_grid_mesh` for the layout.
+    n_cols) grid, both read-only int32; see `_grid_mesh` for the layout.
 
     Memoized: the figures mesh several spheres on one grid, and the faces
     cost most of a mesh.  Eight shapes hold the plane, the close-up patch
-    and three sphere grids with room to spare.
+    and three sphere grids with room to spare, in int32: it indexes any
+    grid under 2**31 points, whose points alone would take 48 GiB.
     """
     keep = np.ones((n_rows, n_cols), dtype=bool)
     keep[0, 1:] = not collapse_first
     keep[-1, 1:] = not collapse_last
-    index = np.cumsum(keep).reshape(keep.shape) - 1
+    index = np.cumsum(keep, dtype=np.int32).reshape(keep.shape) - 1
     index = np.where(keep, index, index[:, :1]).ravel()
     cols = np.arange(n_cols if wrap else n_cols - 1)
     nxt = (cols + 1) % n_cols
@@ -175,14 +180,12 @@ def _grid_topology(
     faces = faces.reshape(-1, 3)
     a, b, c = faces.T
     faces = np.compress((a != b) & (b != c) & (a != c), faces, axis=0)
-    kept = np.flatnonzero(keep)
+    kept = np.flatnonzero(keep).astype(np.int32)
     kept.flags.writeable = faces.flags.writeable = False
     return kept, faces
 
 
-def _grid_mesh(
-    points: np.ndarray, scalars: dict, collapse, wrap: bool, with_faces: bool = True
-) -> TriMesh:
+def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMesh:
     """Mesh the image of an (n_rows, n_cols) parameter grid.
 
     points has shape (n_rows, n_cols, 3) and every scalar channel broadcasts
@@ -196,17 +199,15 @@ def _grid_mesh(
     per collapsed row; a last-row fan is rotated to start at its pole.
 
     The topology comes from `_grid_topology`, built once per grid shape;
-    the mesh gets its own copy of the faces, so editing them in place
-    leaves the next mesh on the grid alone.  Without with_faces the mesh
-    is the vertex grid alone, with (0, 3) faces.
+    the mesh gets its own int64 copy of the faces, so editing them in place
+    leaves the next mesh on the grid alone.
     """
-    if not np.isfinite(points).all():
-        raise MeshError("mesh has non-finite vertex coordinates")
+    _require_finite(points)
     shape = points.shape[:2]
     kept, faces = _grid_topology(*shape, bool(collapse[0]), bool(collapse[1]), wrap)
     return TriMesh(
         vertices=np.take(points.reshape(-1, 3), kept, axis=0),
-        faces=faces.copy() if with_faces else np.empty((0, 3), dtype=np.int64),
+        faces=faces.astype(np.int64),
         vertex_scalars={k: np.take(np.broadcast_to(v, shape), kept) for k, v in scalars.items()},
     )
 
@@ -258,8 +259,9 @@ def plane_exp_surface(
     """
     theta_lo, theta_hi = theta_range
     s_lo, s_hi = s_range
-    if s_lo < 0.0 or s_hi <= s_lo:
-        raise ValueError("s_range must satisfy 0 <= s_lo < s_hi")
+    # theta_hi - theta_lo is finite only if both are and their span is.
+    if not (math.isfinite(theta_hi - theta_lo) and 0.0 <= s_lo < s_hi < math.inf):
+        raise ValueError("plane needs a finite theta range and 0 <= s_lo < s_hi < inf")
     n_theta, n_s = resolution
     if n_theta < 3 or n_s < 2:
         raise ValueError("resolution must be at least (3, 2)")
@@ -424,48 +426,46 @@ def _close_pairs(points: np.ndarray, r: float) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def _detection_sphere(grid: SphereGrid) -> tuple[TriMesh, float]:
-    """The vertices of the grid's exp-sphere with their gamma channel, as a
-    mesh without faces, and its contact threshold, 0.1 x the median edge
-    length.
+def _detection_sphere(grid: SphereGrid) -> tuple[np.ndarray, float]:
+    """The vertex array of `sphere_exp_mesh(grid)`, in its order, and its
+    contact threshold, 0.1 x the median edge length; MeshError if a point
+    is not finite.
 
-    The edges are slices of the vertex array: along each interior ring,
-    between neighbouring rings (meridians and the cell diagonals
-    lo_i -> hi_next) and the two pole fans.  These are the edges of
-    `sphere_exp_mesh(grid)`, each once, so the median is the one over its
-    face edges a -> b, a < b.
+    Both are slices of the gamma x phi point grid, and no face is built.
+    The edges run along each interior ring, between neighbouring rings
+    (meridians and the cell diagonals lo_i -> hi_next) and over the two
+    pole fans.  These are the sphere mesh's edges, each once, so the median
+    is the one over its face edges a -> b, a < b.
     """
-    gamma_rows = np.linspace(-1.0, 1.0, grid.n_gamma)
-    points, scalars, collapse = _revolved_grid(gamma_rows, grid.n_phi, grid.radius)
-    mesh = _grid_mesh(points, {"gamma": scalars["gamma"]}, collapse, True, with_faces=False)
-    v = mesh.vertices
-    rings = v[1:-1].reshape(-1, grid.n_phi, 3)
+    points = _revolved_grid(np.linspace(-1.0, 1.0, grid.n_gamma), grid.n_phi, grid.radius)[0]
+    _require_finite(points)
+    rings, poles = points[1:-1], points[[0, -1], :1]
     turned = np.roll(rings, -1, axis=1)
     edges = (rings - turned, rings[1:] - rings[:-1], turned[1:] - rings[:-1],
-             rings[[0, -1]] - v[[0, -1], None])
+             rings[[0, -1]] - poles)
     lengths = np.linalg.norm(np.concatenate([e.reshape(-1, 3) for e in edges]), axis=1)
-    return mesh, _PROXIMITY_RATIO * float(np.median(lengths))
+    vertices = np.concatenate([poles[0], rings.reshape(-1, 3), poles[1]])
+    return vertices, _PROXIMITY_RATIO * float(np.median(lengths))
 
 
 def _contacts(
-    grid: SphereGrid, mesh: TriMesh, threshold: float, reach: float = math.inf
+    grid: SphereGrid, xyz: np.ndarray, threshold: float, reach: float = math.inf
 ) -> tuple[np.ndarray, ...]:
     """The events of `sphere_proximity_events` whose two vertices lie within
     the planar distance reach of the z-axis, as five arrays in event order:
     vertex_a, vertex_b, separation, gamma_mid and planar_radius_mid.
 
-    mesh and threshold are `_detection_sphere(grid)`.  Only the vertices
+    xyz and threshold are `_detection_sphere(grid)`.  Only the vertices
     within reach are searched for close pairs; the default reach keeps all.
     """
-    xyz = mesh.vertices
     near = np.flatnonzero(np.hypot(xyz[:, 0], xyz[:, 1]) <= reach)
     pairs = np.take(near, _close_pairs(np.take(xyz, near, axis=0), threshold))
-    # Vertex v lies on ring (v - 1) // n_phi at column (v - 1) % n_phi; the
-    # ring formula also puts each pole one ring beyond its neighbor ring.
+    # Vertex v lies on ring (v - 1) // n_phi, grid row ring + 1, at column
+    # (v - 1) % n_phi; the poles come out on rows 0 and n_gamma - 1.
     ring, col = np.divmod(pairs - 1, grid.n_phi)
     d_col = np.abs(col[:, 0] - col[:, 1])
     d_col = np.minimum(d_col, grid.n_phi - d_col)
-    at_pole = ((pairs == 0) | (pairs == mesh.n_vertices - 1)).any(axis=1)
+    at_pole = ((pairs == 0) | (pairs == len(xyz) - 1)).any(axis=1)
     param_close = (np.abs(ring[:, 0] - ring[:, 1]) <= _PARAM_ADJACENCY) & (
         at_pole | (d_col <= _PARAM_ADJACENCY)
     )
@@ -478,8 +478,8 @@ def _contacts(
     hit = ~param_close & (separation < _POLE_CLOSURE_RATIO * pole_distance)
 
     a, b = np.compress(hit, pairs, axis=0).T
-    gammas = mesh.vertex_scalars["gamma"]
-    gamma_mid = 0.5 * (np.take(gammas, a) + np.take(gammas, b))
+    ga, gb = np.take(np.linspace(-1.0, 1.0, grid.n_gamma), np.compress(hit, ring, axis=0).T + 1)
+    gamma_mid = 0.5 * (ga + gb)
     mid = 0.5 * (np.compress(hit, va, axis=0) + np.compress(hit, vb, axis=0))
     # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
     planar = np.fromiter(map(math.hypot, *mid[:, :2].T.tolist()), float, len(a))
@@ -524,13 +524,13 @@ def singular_point_closeup(
     if n_phi < 3 or n_gamma < 3:
         raise ValueError("closeup resolution needs n_phi >= 3 and n_gamma >= 3")
     grid = SphereGrid(n_phi=detection_grid[0], n_gamma=detection_grid[1], radius=radius)
-    mesh, threshold = _detection_sphere(grid)
+    vertices, threshold = _detection_sphere(grid)
     # The near pass's first event is the first of all once planar_mid +
     # threshold <= reach (see the module docstring); otherwise search it all.
     reach = _CLOSEUP_REACH * threshold
-    *_, gamma_mid, planar = _contacts(grid, mesh, threshold, reach)
+    *_, gamma_mid, planar = _contacts(grid, vertices, threshold, reach)
     if not (planar.size and planar[0] + threshold <= reach):
-        gamma_mid = _contacts(grid, mesh, threshold)[3]
+        gamma_mid = _contacts(grid, vertices, threshold)[3]
     if not gamma_mid.size:
         raise NoSingularityError(
             f"no singularity found below radius {radius}; the sphere appears embedded"
@@ -545,8 +545,8 @@ def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoin
     """n + 1 points sampled uniformly in arc length from the closed form."""
     if n < 2:
         raise ValueError("polyline needs n >= 2 segments")
-    if not s_max > 0.0:
-        raise ValueError("polyline needs arc length smax > 0")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError("polyline needs arc length 0 < smax < inf")
     s_values = np.linspace(0.0, s_max, n + 1)
     x, y, z = origin_coordinates(spec.r, spec.phi, spec.gamma, s_values)
     return [group_mul(spec.base, HeisPoint(*map(float, xyz))) for xyz in zip(x, y, z)]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -408,6 +409,19 @@ class TestExitCodes:
         out_dir = tmp_path / "figures"
         assert run(["figures", "--out-dir", str(out_dir), *grid], capsys)[0] == code
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--gamma", "0.5", "--smax", "inf", "--n", "4"],
+        ["surface", "--smax", "inf"],
+        ["surface", "--theta-max", "inf"],
+    ])
+    def test_non_finite_range_refused_before_numpy_warns(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and err.startswith("heisgeo: ")
+        assert not out.exists()
 
     def test_io_failure(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Mesh emission: spheres, plane images, cutaways, close-ups, polylines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def interior_index(grid: SphereGrid, row: int, col: int) -> int:
 
 def _shape_id(shape) -> str:
     return "x".join(map(str, shape))
+
+
+# The figures' detection grids and three coarse ones, with radii from the
+# onset to far past it: the close-up's and the detector's gamma cases.
+_CLOSEUP_GRIDS = [(3, 3), (7, 5), (30, 50), (48, 96), (64, 128), (96, 192)]
+_CLOSEUP_RADII = (3.234, 3.3, 4.0, 5.0, 6.0, 7.5, 20.0, 35.0, 100.0, 1e3, 1e5)
 
 
 class TestTriMesh:
@@ -207,12 +214,12 @@ class TestProximityDetector:
     )
     def test_threshold_from_vertex_slices(self, grid):
         # The face-edge median the detector took before, as the reference:
-        # the slices of the vertex array must give the same bits.  The
-        # detection sphere has no faces; the sphere mesh of the grid does.
+        # the slices of the point grid must give the same bits.  The
+        # detection sphere is the sphere mesh's vertex array, in its order.
         for radius in (0.5, 1.0, 3.3, 5.0, 20.0, 1e3, 1e5):
             detected, threshold = _detection_sphere(SphereGrid(*grid, radius))
             mesh = sphere_exp_mesh(SphereGrid(*grid, radius))
-            assert detected.vertices.tobytes() == mesh.vertices.tobytes()
+            assert detected.tobytes() == mesh.vertices.tobytes()
             ends = np.roll(mesh.faces, -1, axis=1)
             forward = mesh.faces < ends
             lengths = np.linalg.norm(
@@ -229,10 +236,10 @@ class TestProximityDetector:
         # The near-axis pass returns the full event list filtered to pairs
         # with both vertices within reach, in the same order.
         grid = SphereGrid(*grid, radius)
-        mesh, threshold = _detection_sphere(grid)
-        full = _contacts(grid, mesh, threshold)
+        vertices, threshold = _detection_sphere(grid)
+        full = _contacts(grid, vertices, threshold)
         assert full[0].size
-        planar = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        planar = np.hypot(vertices[:, 0], vertices[:, 1])
         outer = np.maximum(planar[full[0]], planar[full[1]])
         # Reaches that keep none, some and all of the events, including the
         # event vertices' own planar radii, where the cut is exactly at a pair.
@@ -240,10 +247,20 @@ class TestProximityDetector:
         reaches = [0.0, threshold, 8.0 * threshold, *cuts, float(outer.max()), math.inf]
         for reach in reaches:
             within = outer <= reach
-            got = _contacts(grid, mesh, threshold, reach)
+            got = _contacts(grid, vertices, threshold, reach)
             assert len(got) == len(full)
             for g, f in zip(got, full):
                 assert g.tobytes() == f[within].tobytes(), reach
+
+    @pytest.mark.parametrize("grid", _CLOSEUP_GRIDS, ids=_shape_id)
+    def test_gamma_mid_from_the_sphere_channel(self, grid):
+        # The detector reads gamma off each vertex's ring; the sphere mesh
+        # carries it as a channel.  Both give the same bits.
+        for radius in _CLOSEUP_RADII:
+            sphere = SphereGrid(*grid, radius)
+            g = sphere_exp_mesh(sphere).vertex_scalars["gamma"]
+            for e in sphere_proximity_events(sphere):
+                assert e.gamma_mid == 0.5 * (g[e.vertex_a] + g[e.vertex_b]), (radius, e)
 
 
 def _tree_pairs(points, r):
@@ -376,9 +393,7 @@ class TestCloseup:
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
 
-    @pytest.mark.parametrize(
-        "grid", [(3, 3), (7, 5), (30, 50), (48, 96), (64, 128), (96, 192)], ids=_shape_id
-    )
+    @pytest.mark.parametrize("grid", _CLOSEUP_GRIDS, ids=_shape_id)
     def test_centred_on_the_first_event(self, monkeypatch, grid):
         # The figures' detection grids and three coarse ones: the patch's
         # gamma rows are the linspace around the full search's first event's
@@ -394,9 +409,10 @@ class TestCloseup:
             return _contacts(*args)
 
         monkeypatch.setattr(heisgeo.meshing, "_contacts", contacts)
-        for radius in (3.234, 3.3, 4.0, 5.0, 6.0, 7.5, 20.0, 35.0, 100.0, 1e3, 1e5):
+        for radius in _CLOSEUP_RADII:
             sphere = SphereGrid(*grid, radius)
-            gamma_mid = _contacts(sphere, *_detection_sphere(sphere))[3]
+            vertices, threshold = _detection_sphere(sphere)
+            gamma_mid = _contacts(sphere, vertices, threshold)[3]
             searches.clear()
             if not gamma_mid.size:
                 with pytest.raises(NoSingularityError):
@@ -497,6 +513,19 @@ class TestPlaneSurface:
             plane_exp_surface(s_range=(2.0, 1.0))
         with pytest.raises(ValueError):
             plane_exp_surface(resolution=(2, 5))
+
+    @pytest.mark.parametrize(
+        "theta_range, s_range",
+        [((0.0, TWO_PI), (0.0, math.inf)), ((0.0, TWO_PI), (0.0, math.nan)),
+         ((0.0, math.inf), (0.0, 6.0)), ((-math.inf, 1.0), (0.0, 6.0)),
+         ((math.nan, 1.0), (0.0, 6.0)), ((-1e308, 1e308), (0.0, 6.0))],
+    )
+    def test_non_finite_range_refused_before_numpy_warns(self, theta_range, s_range):
+        # The last theta range is finite but spans past the largest double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite theta range"):
+                plane_exp_surface(theta_range, s_range)
 
 
 class TestOrientation:
@@ -715,6 +744,7 @@ class TestTopologyCache:
         )[1]
         np.testing.assert_array_equal(np.sort(shared, axis=None), np.sort(expected, axis=None))
         assert cached.faces.flags.writeable and cold.faces.flags.writeable
+        assert cached.faces.dtype == cold.faces.dtype == np.int64
         assert not np.shares_memory(cached.faces, cold.faces)
         assert not np.shares_memory(cached.faces, shared)
         assert not np.shares_memory(cold.faces, shared)
@@ -736,6 +766,7 @@ class TestTopologyCache:
 
     def test_cached_arrays_are_read_only(self):
         for arr in _grid_topology(9, 7, True, True, True):
+            assert arr.dtype == np.int32
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -748,12 +779,15 @@ class TestTopologyCache:
             assert _grid_topology.cache_info().currsize <= maxsize
         assert _grid_topology.cache_info().currsize == maxsize
 
-    def test_detection_sphere_has_no_faces(self):
-        mesh, _ = _detection_sphere(SphereGrid(12, 9, 5.0))
-        assert mesh.faces.shape == (0, 3) and mesh.faces.flags.writeable
-        assert list(mesh.vertex_scalars) == ["gamma"]
-        sphere = sphere_exp_mesh(SphereGrid(12, 9, 5.0))
-        assert mesh.vertex_scalars["gamma"].tobytes() == sphere.vertex_scalars["gamma"].tobytes()
+    def test_detection_builds_no_topology(self):
+        # Detection reads the point grid alone; a cold close-up builds the
+        # topology of its patch and nothing else.
+        _grid_topology.cache_clear()
+        _detection_sphere(SphereGrid(12, 9, 5.0))
+        sphere_proximity_events(SphereGrid(13, 11, 5.0))
+        assert _grid_topology.cache_info().misses == 0
+        singular_point_closeup(5.0, resolution=(6, 4), detection_grid=(48, 96))
+        assert _grid_topology.cache_info().misses == 1
 
 
 class TestCutaway:
@@ -880,6 +914,11 @@ class TestPolyline:
             geodesic_polyline(spec, 1.0, 1)
         with pytest.raises(ValueError):
             geodesic_polyline(spec, 0.0, 10)
+        for s_max in (math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="smax < inf"):
+                    geodesic_polyline(spec, s_max, 4)
 
     def test_matches_closed_form(self):
         spec = GeodesicSpec.from_direction(-0.4, phi=2.2)
