@@ -9,6 +9,12 @@ An optional JSON config file can supply any long-option value (keys named
 like the option, dashes or underscores); explicit command-line flags win
 over the file.  Points are comma-separated triples `x,y,z`, angles are in
 radians.
+
+A query pays little around its solve: a line that starts with a command is
+parsed by that command's parser alone (the parse the top-level parser
+would make), a text output is written through its file descriptor, and
+`distance` solves its one target on float64 scalars with no array
+machinery (see heisgeo.distances).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -146,6 +153,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it, in fewer steps.
+
+    The top-level parser hands every token after the command to that
+    command's parser, so a line that starts with a command is parsed by the
+    command's parser alone.  Anything else goes through the top-level
+    parser: help, --version, no or an unknown command, tokens the command
+    leaves over, and a token starting with "--=", which the top-level parser
+    refuses as an ambiguous prefix of its own options before any command
+    sees it.  Every message and exit code is therefore the top-level
+    parser's.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and not any(token.startswith("--=") for token in argv):
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> list[str]:
     """The JSON config file's option values as command-line tokens.
 
@@ -178,13 +207,24 @@ def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> 
     return tokens
 
 
-def _write_lines(lines: list[str], out: str) -> None:
+def _write_lines(lines: list[str], out) -> None:
+    """The lines, each ended by a newline, on stdout for "-", else in the file out.
+
+    The file gets the text's bytes through its descriptor, in one write in
+    practice: for the few lines a command prints this is much cheaper than
+    a buffered text file, and the bytes are the same on every platform.
+    """
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as handle:
-            handle.write(text)
+        return
+    data = memoryview(text.encode())
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_mesh(mesh, out: str, fmt: str) -> None:
@@ -296,9 +336,8 @@ def _cmd_figures(args) -> int:
         mesh = meshes.pop(key) if key in meshes else _FIGURE_BUILDERS[kind](params)
         _write_mesh(mesh, out_dir / name, args.format)
         figures[key] = {"file": name, "kind": kind, **params}
-    with open(out_dir / "manifest.json", "w", newline="\n") as handle:
-        json.dump({"format": args.format, "figures": figures}, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    manifest = {"format": args.format, "figures": figures}
+    _write_lines([json.dumps(manifest, sort_keys=True, indent=2)], out_dir / "manifest.json")
     return EXIT_OK
 
 
@@ -373,8 +412,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    commands = _build_parser()[1]
+    args = _parse(argv)
     try:
         tokens = _config_args(args, commands[args.command])
     except (OSError, json.JSONDecodeError) as exc:
@@ -389,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         # checks, and the line's own flags come later, so they win in any
         # spelling (--radius 2, --radius=2, --rad 2).
         at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args = _parse(argv[:at] + tokens + argv[at:])
     # An option declared with default None must be set by the line or the config.
     for action in commands[args.command]._actions:
         if action.default is None and getattr(args, action.dest) is None:

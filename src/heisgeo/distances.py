@@ -36,7 +36,11 @@ a subnormal rho take it too, as their t would be subnormal.  Each 1-D
 solve is a safeguarded Newton-bisection over float64 scalars for one
 target (riemannian_distance, shoot_candidates) and arrays for a batch
 (riemannian_distance_many), through the same functions, so a distance has
-the same bits alone or in a batch.  Every result is certified before it is
+the same bits alone or in a batch.  One target uses no array machinery:
+its stop and chart tests are plain conditions (geodesics._select, _both,
+_either), and only the arithmetic and the transcendental functions stay
+numpy's, whose array loops math's functions do not always match in the
+last bit.  Every result is certified before it is
 returned: the geodesic's endpoint, rebuilt with origin_coordinates, must
 hit the target to tol * max(1, |target|) plus one rounding unit, and d
 must lie in rho <= d <= rho + min(|z|, sqrt(2 pi |z|)) (the planar
@@ -74,7 +78,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ORIGIN, HeisPoint, left_quotient
-from .geodesics import GeodesicSpec, _select, _sin_defect, _sinc, origin_coordinates
+from .geodesics import (
+    GeodesicSpec,
+    _both,
+    _either,
+    _select,
+    _sin_defect,
+    _sinc,
+    origin_coordinates,
+)
 
 __all__ = [
     "ShootingSolution",
@@ -220,24 +232,24 @@ def _solve_increasing(residual, x, lo, hi, *params):
     iteration cap return their last iterate, for the caller's certificate
     to judge.
     """
-    done = np.zeros(np.shape(x), dtype=bool)
+    batch = isinstance(x, np.ndarray)
+    done = np.zeros(x.shape, dtype=bool) if batch else False
     for _ in range(_CUT_ITERATIONS):
-        if done.all():
+        if done.all() if batch else done:
             break
         value, slope = residual(x, *params)
         lo = _select(value < 0.0, x, lo)
         hi = _select(value > 0.0, x, hi)
         new = x - value / slope
-        newton = (new >= lo) & (new <= hi)
+        newton = _both(new >= lo, new <= hi)
         new = _select(newton, new, 0.5 * (lo + hi))
         root = value == 0.0
-        stop = (
-            root
-            | (newton & (abs(new - x) <= _CUT_STEP_TOL * abs(new)))
-            | (hi - lo <= 4.0 * _EPS * abs(hi))
+        stop = _either(
+            _either(root, _both(newton, abs(new - x) <= _CUT_STEP_TOL * abs(new))),
+            hi - lo <= 4.0 * _EPS * abs(hi),
         )
-        x = _select(done | root, x, new)
-        done |= stop
+        x = _select(_either(done, root), x, new)
+        done = _either(done, stop)
     return x
 
 
@@ -298,8 +310,8 @@ def _cut_time_geodesics(x, y, z):
         # A subnormal planar offset in the far half joins the axis: the far
         # chart's t would be subnormal too and keep few digits, and the
         # offset is below every tolerance.
-        axis = (rho == 0.0) | ((rho < _TINY) & (height > split))
-        near = (rho > 0.0) & (height <= split)
+        axis = _either(rho == 0.0, _both(rho < _TINY, height > split))
+        near = _both(rho > 0.0, height <= split)
         if isinstance(rho, np.ndarray):
             s, gamma, r = (np.full_like(rho, np.nan) for _ in range(3))
             for chart, mask in (
@@ -338,13 +350,12 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
         upper = _select(
             shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf
         )
-        certified = (
-            (miss + _EPS * scale <= tol * scale)
-            & (s >= rho * (1.0 - _BOUND_SLACK))
-            & (s <= upper * (1.0 + _BOUND_SLACK))
+        certified = _both(
+            _both(miss + _EPS * scale <= tol * scale, s >= rho * (1.0 - _BOUND_SLACK)),
+            s <= upper * (1.0 + _BOUND_SLACK),
         )
-    if not certified.all():
-        k = int(np.flatnonzero(~certified)[0])
+    if not (certified.all() if isinstance(certified, np.ndarray) else certified):
+        k = int(np.flatnonzero(np.logical_not(certified))[0])
         x, y, z, s, rho, upper, scale, miss = (
             np.ravel(a) for a in np.broadcast_arrays(x, y, z, s, rho, upper, scale, miss)
         )

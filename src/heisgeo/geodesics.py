@@ -89,6 +89,24 @@ def _select(condition, a, b):
     return a if condition else b
 
 
+def _either(a, b):
+    """a | b on boolean arrays, a plain `or` on two single conditions.
+
+    With _both, lets one loop keep a batch's stop mask and stop a single
+    target without a numpy call (see _select).
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a | b
+    return bool(a or b)
+
+
+def _both(a, b):
+    """a & b on boolean arrays, a plain `and` on two single conditions."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a & b
+    return bool(a and b)
+
+
 def _as_float(a):
     """A float64 scalar for a number, else a float64 array.
 

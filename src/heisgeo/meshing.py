@@ -259,9 +259,14 @@ def plane_exp_surface(
     """
     theta_lo, theta_hi = theta_range
     s_lo, s_hi = s_range
-    # theta_hi - theta_lo is finite only if both are and their span is.
-    if not (math.isfinite(theta_hi - theta_lo) and 0.0 <= s_lo < s_hi < math.inf):
-        raise ValueError("plane needs a finite theta range and 0 <= s_lo < s_hi < inf")
+    # The span is finite only if both ends are and their difference is; it
+    # is zero only if they are equal, when every theta column is one curve.
+    span = theta_hi - theta_lo
+    if not (math.isfinite(span) and span != 0.0 and 0.0 <= s_lo < s_hi < math.inf):
+        raise ValueError(
+            "plane needs a finite theta range with theta_lo != theta_hi "
+            "and 0 <= s_lo < s_hi < inf"
+        )
     n_theta, n_s = resolution
     if n_theta < 3 or n_s < 2:
         raise ValueError("resolution must be at least (3, 2)")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import heisgeo
-from heisgeo import core, distances, geodesics, meshing, writers
+from heisgeo import cli, core, distances, geodesics, meshing, writers
 from heisgeo.cli import _build_parser, main
 
 TWO_PI = 2.0 * math.pi
@@ -382,6 +382,7 @@ class TestExitCodes:
              "--metric-tol", "nan"],
             ["surface", "--ntheta", "2"],
             ["surface", "--ns", "1"],
+            ["surface", "--theta-min", "1", "--theta-max", "1", "--ntheta", "4", "--ns", "3"],
             ["distance", "1,2,3", "1,2,3", "--all-candidates"],
             ["geodesic", "--gamma", "1.5", "--smax", "1"],
             # The Cygan path takes no tolerance, so the command checks these.
@@ -430,6 +431,25 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3 and "I/O" in err
+
+    @pytest.mark.parametrize("out", ["missing-dir", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["distance", "0,0,0", "0.5,0.2,1"],
+         ["geodesic", "--gamma", "0.5", "--smax", "1", "--n", "4"],
+         ["curvature"]],
+        ids=["distance", "geodesic", "curvature"],
+    )
+    def test_line_writer_io_failure(self, capsys, tmp_path, argv, out):
+        # An output file that cannot be opened: exit 3, no traceback, and
+        # the directory is left as it was.
+        (tmp_path / "directory").mkdir()
+        path = tmp_path / "missing" / "out.txt" if out == "missing-dir" else tmp_path / out
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(argv + ["--out", str(path)], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("heisgeo: I/O failure: ") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_solver_failure(self, capsys):
         code, _, err = run(
@@ -820,6 +840,109 @@ class TestConfigParity:
             for i in range(50):
                 written = (tmp_path / f"thread{thread}_{i}").read_bytes()
                 assert written == expected[thread % 2], (thread, i)
+
+
+# (argv, exit code or None when it parses, the stream and a text it holds).
+# A line that starts with a command is parsed by that command's parser
+# (cli._parse); everything else, and every token it leaves over, by the
+# top-level parser, whose usage line and messages the errors keep.
+_TOP_USAGE = "usage: heisgeo [-h]"
+_DISTANCE_USAGE = "usage: heisgeo distance"
+_PARSE_CASES = [
+    (["distance", "0,0,0", "1,1,1"], None, "", ""),
+    (["-h"], 0, "out", _TOP_USAGE),
+    (["--version"], 0, "out", f"heisgeo {heisgeo.__version__}"),
+    (["--version", "distance", "0,0,0", "1,1,1"], 0, "out", f"heisgeo {heisgeo.__version__}"),
+    (["distance", "--version", "0,0,0", "1,1,1"], 2, "err",
+     "heisgeo: error: unrecognized arguments: --version"),
+    ([], 2, "err", "heisgeo: error: the following arguments are required: command"),
+    (["bogus", "0,0,0"], 2, "err", "heisgeo: error: argument command: invalid choice"),
+    (["distance", "--bogus", "0,0,0", "1,1,1"], 2, "err",
+     "heisgeo: error: unrecognized arguments: --bogus"),
+    (["distance", "--met", "cygan", "0,0,0", "1,1,1"], None, "", ""),
+    (["distance", "0,0,0"], 2, "err",
+     "heisgeo distance: error: the following arguments are required: q"),
+    (["distance", "0,0,0", "1,1,1", "2,2,2"], 2, "err",
+     "heisgeo: error: unrecognized arguments: 2,2,2"),
+    (["distance", "0,0", "1,1,1"], 2, "err",
+     "heisgeo distance: error: argument p: expected x,y,z triple"),
+    (["distance", "--metric", "euclid", "0,0,0", "1,1,1"], 2, "err",
+     "heisgeo distance: error: argument --metric: invalid choice"),
+    (["distance", "0,0,0", "-1,2,3"], None, "", ""),
+    (["distance", "--", "-1,0,0", "0,0,0"], None, "", ""),
+    (["distance", "0,0,0", "-x,2,3"], 2, "err", "heisgeo distance: error: "),
+    (["distance", "-h"], 0, "out", _DISTANCE_USAGE),
+    # The top-level parser refuses "--=" before any command parser runs.
+    (["distance", "--=x", "0,0,0", "1,1,1"], 2, "err",
+     "heisgeo: error: ambiguous option: --=x could match --help, --version"),
+    (["geodesic", "--n=x"], 2, "err", "heisgeo geodesic: error: argument --n: invalid int"),
+    (["curvature", "extra"], 2, "err", "heisgeo: error: unrecognized arguments: extra"),
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParseRoute:
+    @pytest.mark.parametrize(
+        "argv, code, stream, text", _PARSE_CASES, ids=[" ".join(c[0]) for c in _PARSE_CASES]
+    )
+    def test_same_as_the_top_level_parser(self, capsys, argv, code, stream, text):
+        fast = _parse_outcome(cli._parse, argv, capsys)
+        assert fast == _parse_outcome(_build_parser()[0].parse_args, argv, capsys)
+        result, out, err = fast
+        if code is None:
+            assert result["command"] == argv[0] and out == err == ""
+        else:
+            assert result == code
+            assert text in (out if stream == "out" else err)
+            if stream == "err":
+                usage = _TOP_USAGE if err.count("heisgeo: error:") else f"usage: heisgeo {argv[0]}"
+                assert err.startswith(usage)
+
+    def test_commands_skip_the_top_level_parser(self, capsys, tmp_path, monkeypatch):
+        # A plain query and a config file's re-parse go to the command's
+        # parser alone, with the output of the flags.
+        (tmp_path / "cfg.json").write_text(json.dumps({"metric": "cygan"}))
+        flags = run(["distance", "--metric", "cygan", "0,0,0", "3,4,0"], capsys)
+        monkeypatch.setattr(_build_parser()[0], "parse_args", None)
+        assert run(["distance", "0,0,0", "3,4,0"], capsys)[0] == 0
+        config = run(["distance", "--config", str(tmp_path / "cfg.json"), "0,0,0", "3,4,0"],
+                     capsys)
+        assert config == flags == (0, "5\n", "")
+
+    def test_threads_parse_their_own_lines(self, tmp_path):
+        # Two threads, one with a config file, parse through the shared
+        # command parser at once; each call keeps its own arguments.
+        (tmp_path / "cfg.json").write_text(json.dumps({"metric": "cygan", "tol": 1e-10}))
+        lines = [["distance", "0,0,0", "0.5,0.2,1"],
+                 ["distance", "--config", str(tmp_path / "cfg.json"), "0,0,0", "0.5,0.2,1"]]
+        expected = []
+        for k, line in enumerate(lines):
+            assert main(line + ["--out", str(tmp_path / f"serial{k}")]) == 0
+            expected.append((tmp_path / f"serial{k}").read_bytes())
+        assert expected[0] != expected[1]
+
+        def calls(thread):
+            for i in range(100):
+                assert main(lines[thread] + ["--out", str(tmp_path / f"t{thread}_{i}")]) == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(calls, range(2), timeout=120)) == [None] * 2
+        finally:
+            sys.setswitchinterval(interval)
+        for thread in range(2):
+            for i in range(100):
+                assert (tmp_path / f"t{thread}_{i}").read_bytes() == expected[thread]
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from heisgeo import distances
 from heisgeo.core import ORIGIN, FrameVector, HeisPoint, group_mul
 from heisgeo.distances import (
     ShootingConvergenceError,
@@ -554,6 +555,40 @@ class TestCutTimeProperties:
                 riemannian_distance(ORIGIN, HeisPoint(*target), tol=tol)
             except ShootingConvergenceError as exc:
                 assert target != (1e103, 0.0, 0.0) or "endpoint miss nan" in str(exc)
+
+    # (target, 1-D solves): the axis charts are closed forms.
+    @pytest.mark.parametrize("target, solves", [
+        ((0.0, 0.0, 2.0), 0),  # axis, below the conjugate height
+        ((0.5, 0.2, 1.0), 1),  # near half
+        ((0.1, 0.0, 20.0), 1),  # far half
+        ((1e-310, 0.0, 5.0), 0),  # subnormal planar offset, taken onto the axis
+        ((0.0, 0.0, math.pi), 0),
+        ((0.0, 0.0, math.nextafter(math.pi, 4.0)), 0),
+        ((0.3, 0.0, math.pi), 1),
+        ((0.3, 0.0, math.nextafter(math.pi, 4.0)), 1),
+    ])
+    def test_scalar_solve_stops_with_the_batch(self, monkeypatch, target, solves):
+        # One target stops on plain conditions, a batch on its mask: the
+        # same residual evaluations and the same bits.
+        solve = distances._solve_increasing
+        calls = []
+
+        def counting(residual, x, *args):
+            def counted(*a):
+                calls[-1][1] += 1
+                return residual(*a)
+            calls.append([isinstance(x, np.ndarray), 0])
+            return solve(counted, x, *args)
+
+        monkeypatch.setattr(distances, "_solve_increasing", counting)
+        alone = riemannian_distance(ORIGIN, HeisPoint(*target))
+        scalar_calls, calls[:] = calls[:], []
+        batch = riemannian_distance_many([target])
+        assert [batched for batched, _ in scalar_calls] == [False] * len(scalar_calls)
+        assert [batched for batched, _ in calls] == [True] * len(calls)
+        assert [n for _, n in scalar_calls] == [n for _, n in calls]
+        assert len(calls) == solves
+        assert alone.hex() == float(batch[0]).hex()
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive(self, tol):

@@ -514,6 +514,12 @@ class TestPlaneSurface:
         with pytest.raises(ValueError):
             plane_exp_surface(resolution=(2, 5))
 
+    @pytest.mark.parametrize("theta_range", [(1.0, 1.0), (-0.0, 0.0), (TWO_PI, TWO_PI)])
+    def test_empty_theta_range_refused(self, theta_range):
+        # Every theta column would be the same curve and every face empty.
+        with pytest.raises(ValueError, match="theta_lo != theta_hi"):
+            plane_exp_surface(theta_range, resolution=(4, 3))
+
     @pytest.mark.parametrize(
         "theta_range, s_range",
         [((0.0, TWO_PI), (0.0, math.inf)), ((0.0, TWO_PI), (0.0, math.nan)),
