@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -342,8 +343,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    if not args.tol > 0.0:
-        raise ValueError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
     if args.metric == "cygan":
         if args.all_candidates:
             raise ValueError("--all-candidates applies to the riemannian metric only")

@@ -414,8 +414,8 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
 
 def _certified_distance(x, y, z, tol: float):
     """The cut-time length to (x, y, z), arrays or scalars, once certified."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     s, gamma, r, phi = _cut_time_geodesics(x, y, z)
     _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
     return s
@@ -442,8 +442,8 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     first, else ShootingConvergenceError is raised.  ValueError, before any
     allocation, if 2 |z| / pi > _MAX_CANDIDATES.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if target == ORIGIN:
         raise ValueError("target must be distinct from the origin")
 

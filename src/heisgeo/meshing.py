@@ -22,10 +22,14 @@ its own writable int64 copy of the faces.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
-is at most the threshold, a tenth of the median edge length (each edge
-once, from slices of the vertex array; pairs from `_close_pairs`, a cell
-hash).  The detector builds no faces: its sphere is the point grid.
-Pairs adjacent in the parameter grid are ignored, as are pairs
+is at most the threshold, a tenth of the median edge length (pairs from
+`_close_pairs`, a cell hash).  The detector builds no faces: its sphere is
+the point grid, kept as the x, y and z planes `origin_coordinates`
+returns.  Each edge is taken once, as slices of each plane, and its length
+is sqrt((dx*dx + dy*dy) + dz*dz), the order in which
+`np.linalg.norm(axis=1)` sums a 3-vector, so the threshold keeps the bits
+of the norm over the mesh's face edges.  Pairs adjacent in the parameter
+grid are dropped before any coordinate is gathered, and so are pairs
 whose separation is comparable to their distance from the nearest pole (the
 mesh legitimately closes up there, which would read as contact near poles).
 `_contacts` keeps the events as arrays in the order of one lexsort, by
@@ -73,8 +77,8 @@ class MeshError(ValueError):
     """Raised when a mesh violates its structural invariants."""
 
 
-def _require_finite(points: np.ndarray) -> None:
-    if not np.isfinite(points).all():
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise MeshError("mesh has non-finite vertex coordinates")
 
 
@@ -214,23 +218,24 @@ def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMe
 
 def _revolved_grid(
     gamma_rows: np.ndarray, n_phi: int, radius: float
-) -> tuple[np.ndarray, dict, tuple]:
-    """Points, scalar channels and collapsed end rows of the exp-image of
-    the gamma rows x full phi circle grid.
+) -> tuple[tuple[np.ndarray, ...], dict, tuple]:
+    """The x, y and z planes, scalar channels and collapsed end rows of the
+    exp-image of the gamma rows x full phi circle grid.
 
     An end row with |gamma| = 1 collapses to its pole vertex.
     """
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     gammas = gamma_rows[:, None]
     r = np.sqrt(np.maximum(0.0, 1.0 - gammas * gammas))
-    points = np.stack(origin_coordinates(r, phis, gammas, radius), axis=-1)
+    planes = origin_coordinates(r, phis, gammas, radius)
     collapse = tuple(np.abs(gamma_rows[[0, -1]]) == 1.0)
-    return points, {"gamma": gammas, "phi": phis}, collapse
+    return planes, {"gamma": gammas, "phi": phis}, collapse
 
 
 def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
     """Mesh the exp-image of the gamma rows x full phi circle grid."""
-    return _grid_mesh(*_revolved_grid(gamma_rows, n_phi, radius), wrap=True)
+    planes, scalars, collapse = _revolved_grid(gamma_rows, n_phi, radius)
+    return _grid_mesh(np.stack(planes, axis=-1), scalars, collapse, wrap=True)
 
 
 def sphere_exp_mesh(grid: SphereGrid) -> TriMesh:
@@ -436,21 +441,40 @@ def _detection_sphere(grid: SphereGrid) -> tuple[np.ndarray, float]:
     contact threshold, 0.1 x the median edge length; MeshError if a point
     is not finite.
 
-    Both are slices of the gamma x phi point grid, and no face is built.
-    The edges run along each interior ring, between neighbouring rings
-    (meridians and the cell diagonals lo_i -> hi_next) and over the two
-    pole fans.  These are the sphere mesh's edges, each once, so the median
-    is the one over its face edges a -> b, a < b.
+    Both come from the x, y and z planes of the gamma x phi point grid, and
+    no face is built.  The edges run along each interior ring, between
+    neighbouring rings (meridians and the cell diagonals lo_i -> hi_next)
+    and over the two pole fans.  These are the sphere mesh's edges, each
+    once, so the median is the one over its face edges a -> b, a < b.  Each
+    plane gives its edges' differences, and a length is
+    sqrt((dx*dx + dy*dy) + dz*dz), the order `np.linalg.norm(axis=1)` sums
+    a row in, so the threshold has the bits of the norm over 3-vectors.
     """
-    points = _revolved_grid(np.linspace(-1.0, 1.0, grid.n_gamma), grid.n_phi, grid.radius)[0]
-    _require_finite(points)
-    rings, poles = points[1:-1], points[[0, -1], :1]
-    turned = np.roll(rings, -1, axis=1)
-    edges = (rings - turned, rings[1:] - rings[:-1], turned[1:] - rings[:-1],
-             rings[[0, -1]] - poles)
-    lengths = np.linalg.norm(np.concatenate([e.reshape(-1, 3) for e in edges]), axis=1)
-    vertices = np.concatenate([poles[0], rings.reshape(-1, 3), poles[1]])
-    return vertices, _PROXIMITY_RATIO * float(np.median(lengths))
+    planes = _revolved_grid(np.linspace(-1.0, 1.0, grid.n_gamma), grid.n_phi, grid.radius)[0]
+    _require_finite(*planes)
+    n_rings = grid.n_gamma - 2
+    # Per plane, rows of n_phi edges: the rings, the meridians, the
+    # diagonals and the two pole fans.
+    d = np.empty((3, 3 * n_rings, grid.n_phi))
+    for c, e in zip(planes, d):
+        rings, lo, hi = c[1:-1], c[1:-2], c[2:-1]
+        ring, meridian, diagonal, fan = np.split(e, [n_rings, 2 * n_rings - 1, 3 * n_rings - 2])
+        np.subtract(rings[:, 1:], rings[:, :-1], out=ring[:, :-1])
+        np.subtract(rings[:, 0], rings[:, -1], out=ring[:, -1])
+        np.subtract(hi, lo, out=meridian)
+        np.subtract(hi[:, 1:], lo[:, :-1], out=diagonal[:, :-1])
+        np.subtract(hi[:, 0], lo[:, -1], out=diagonal[:, -1])
+        np.subtract(rings[[0, -1]], c[[0, -1], :1], out=fan)
+    # Squared, summed and rooted in place, in d[0]; the median partitions
+    # it in place too, so no other array of the edges' size is allocated.
+    np.multiply(d, d, out=d)
+    lengths = np.add(d[0], d[1], out=d[0])
+    np.sqrt(np.add(lengths, d[2], out=lengths), out=lengths)
+    vertices = np.empty((grid.n_phi * n_rings + 2, 3))
+    for k, c in enumerate(planes):
+        vertices[0, k], vertices[-1, k] = c[0, 0], c[-1, 0]
+        vertices[1:-1, k] = c[1:-1].ravel()
+    return vertices, _PROXIMITY_RATIO * float(np.median(lengths, overwrite_input=True))
 
 
 def _contacts(
@@ -474,13 +498,16 @@ def _contacts(
     param_close = (np.abs(ring[:, 0] - ring[:, 1]) <= _PARAM_ADJACENCY) & (
         at_pole | (d_col <= _PARAM_ADJACENCY)
     )
+    # Parameter-adjacent pairs are dropped before any coordinate is gathered.
+    far = ~param_close
+    pairs, ring = np.compress(far, pairs, axis=0), np.compress(far, ring, axis=0)
 
     va, vb = np.take(xyz, pairs[:, 0], axis=0), np.take(xyz, pairs[:, 1], axis=0)
     separation = _row_norms(va - vb)
     pole_distance = np.min(
         [_row_norms(v - pole) for v in (va, vb) for pole in (xyz[0], xyz[-1])], axis=0
     )
-    hit = ~param_close & (separation < _POLE_CLOSURE_RATIO * pole_distance)
+    hit = separation < _POLE_CLOSURE_RATIO * pole_distance
 
     a, b = np.compress(hit, pairs, axis=0).T
     ga, gb = np.take(np.linspace(-1.0, 1.0, grid.n_gamma), np.compress(hit, ring, axis=0).T + 1)

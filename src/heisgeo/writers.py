@@ -30,6 +30,12 @@ and moves by one where the exact `p + e` lies outside `[1e16, 1e17)`.  Then
 reaches `10^17`: the double below `10^(X+1)` lies at least `2^-54 10^(X+1)`
 below it.  The digits are laid out as `%g` does: `ddd.ddd` or `0.000ddd`,
 trailing fraction zeros stripped and no `.` without a fraction digit.
+Four digits at a time are one gather from `_WORDS`, the texts "0000" ..
+"9999" stored as explicit little-endian 32-bit words, so a word's bytes are
+its text in reading order on any host.  The `0.` and `0.000` prefixes are
+arithmetic, `((X < 0) & (row <= -X)) * byte`.  In bit-pattern order the
+fast doubles form at most two runs, the negatives and then the positives,
+so each block of `_BLOCK` texts is written into the table by slice.
 Python's formatter takes every other double (±0, `|v| < 1e-4`, subnormals,
 `|v| >= 1e17`, inf and nan) and every table of fewer than `_NUMPY_MIN`
 distinct doubles or indices.
@@ -64,20 +70,15 @@ _SLOT = 3
 
 # 10^k for k = 0..21; every partial product is exact, since 5^21 < 2^53.
 _SCALE = np.concatenate(([1.0], np.cumprod(np.full(21, 10.0))))
-# The texts "0000" .. "9999": row c holds the c-th character of each.
-_QUADS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000) + np.uint8(48)
+# The texts "0000" .. "9999" as little-endian words: the bytes of word c
+# are the text of c in reading order on any host.
+_WORDS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
+).view("<u4").ravel()
 _ROW = np.arange(18)[:, None]
 _PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]  # 1-based digit positions
-
-
-def _prefixes() -> np.ndarray:
-    """`(5, 21)`: column `X + 4` holds `0.` and `-X - 1` zeros for `X < 0`, NUL-padded."""
-    x = np.arange(-4, 17)
-    column = _ROW[:5]
-    return ((x < 0) & (column <= -x)) * np.where(column == 1, 46, 48).astype(np.uint8)
-
-
-_PREFIXES = _prefixes()
+# The prefix `0.000` by row; X < 0 keeps its first -X + 1 rows.
+_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 
 
 def format_float(value: float) -> str:
@@ -88,14 +89,16 @@ def format_float(value: float) -> str:
 def _digits(d: np.ndarray, width: int) -> np.ndarray:
     """`(width, k)` ASCII digit rows of integers `0 <= d < 10^width`, zero-padded.
 
-    The digits are looked up four at a time in `_QUADS`.
+    Each group of four digits is one word of `_WORDS`, gathered in one
+    `take`; the `(groups, k)` words are transposed to digit rows once.
     """
     groups = -(-width // 4)
-    rows = np.empty((groups, 4, len(d)), dtype=np.uint8)
-    for group in rows[::-1]:
+    quads = np.empty((groups, len(d)), dtype=np.int64)
+    for group in quads[::-1]:
         q = d // 10000
-        np.take(_QUADS, d - q * 10000, axis=1, out=group)
+        np.subtract(d, q * 10000, out=group)
         d = q
+    rows = np.take(_WORDS, quads).view(np.uint8).reshape(groups, -1, 4).transpose(0, 2, 1)
     return rows.reshape(4 * groups, -1)[4 * groups - width :]
 
 
@@ -142,7 +145,7 @@ def _fixed17(values: np.ndarray) -> np.ndarray:
 
     texts = np.empty((_WIDTH, len(a)), dtype=np.uint8)
     texts[0] = (values < 0) * np.uint8(45)
-    texts[1:6] = _PREFIXES[:, x + 4]
+    texts[1:6] = ((x < 0) & (_ROW[:5] <= -x)) * _PREFIX
     # For X >= 0: the digits up to X, then the point if a fraction digit is
     # left, then the fraction digits.  For X < 0 (`point` = -2) the 17
     # digits follow the prefix.
@@ -182,10 +185,13 @@ def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fast = (a >= 1e-4) & (a < 1e17)
     texts = np.zeros((len(distinct), _WIDTH + _SLOT), dtype=np.uint8)
     texts[~fast] = _python_texts(distinct[~fast].tolist(), ".17g", _WIDTH)
-    fast = np.flatnonzero(fast)
-    for start in range(0, len(fast), _BLOCK):
-        rows = fast[start : start + _BLOCK]
-        texts[rows, :_WIDTH] = _fixed17(distinct[rows]).T
+    # In bit-pattern order the fast doubles form at most two runs, the
+    # negatives and the positives; each block of a run is placed by slice.
+    runs = np.flatnonzero(np.diff(fast, prepend=False, append=False)).reshape(-1, 2)
+    for start, stop in runs.tolist():
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            texts[lo:hi, :_WIDTH] = _fixed17(distinct[lo:hi]).T
     return texts, index
 
 

@@ -390,6 +390,10 @@ class TestExitCodes:
             ["distance", "0,0,0", "1,0,0", "--tol", "-1"],
             ["distance", "0,0,0", "1,0,0", "--tol", "nan"],
             ["distance", "0,0,0", "1,0,0", "--metric", "cygan", "--all-candidates"],
+            # An infinite tol would certify any finite endpoint miss.
+            ["distance", "0,0,0", "1,2,3", "--tol", "inf"],
+            ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--all-candidates"],
+            ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--metric", "cygan"],
         ],
     )
     def test_values_the_library_rejects(self, capsys, tmp_path, argv):

@@ -590,11 +590,26 @@ class TestCutTimeProperties:
         assert len(calls) == solves
         assert alone.hex() == float(batch[0]).hex()
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_positive(self, tol):
         for q in (HeisPoint(1, 0, 0), ORIGIN):
-            with pytest.raises(ValueError, match="tol must be positive"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 riemannian_distance(ORIGIN, q, tol=tol)
+
+    @pytest.mark.parametrize("solve", [
+        lambda tol: riemannian_distance(ORIGIN, HeisPoint(1, 2, 3), tol=tol),
+        lambda tol: riemannian_distance_many([[1.0, 2.0, 3.0]], tol=tol),
+        lambda tol: shoot_candidates(HeisPoint(1, 2, 3), tol=tol),
+    ], ids=["riemannian_distance", "riemannian_distance_many", "shoot_candidates"])
+    def test_infinite_tol_is_refused(self, monkeypatch, solve):
+        # One iteration leaves the cut-time solve 0.013 off the target, which
+        # the certificate refuses; an infinite tol would pass any finite miss
+        # and return the unconverged length, so it is refused first.
+        monkeypatch.setattr(distances, "_CUT_ITERATIONS", 1)
+        with pytest.raises(ShootingConvergenceError, match="cannot certify"):
+            solve(1e-8)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve(math.inf)
 
     @settings(max_examples=400, deadline=None)
     @given(_targets())

@@ -460,6 +460,20 @@ class TestCloseup:
         with pytest.raises(MeshError, match="non-finite"):
             build()
 
+    def test_non_finite_plane_raises(self, monkeypatch):
+        # Each coordinate plane is checked, not only the first.
+        coordinates = heisgeo.meshing.origin_coordinates
+
+        def nan_in_y(*args):
+            x, y, z = coordinates(*args)
+            y = y.copy()
+            y[3, 2] = math.nan
+            return x, y, z
+
+        monkeypatch.setattr(heisgeo.meshing, "origin_coordinates", nan_in_y)
+        with pytest.raises(MeshError, match="non-finite"):
+            _detection_sphere(SphereGrid(12, 9, 5.0))
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             singular_point_closeup(5.0, window=0.0)

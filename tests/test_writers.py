@@ -281,6 +281,38 @@ def test_texts_survive_a_log10_one_off(shift, monkeypatch):
     assert _texts(values) == ["%.17g" % v for v in values.tolist()]
 
 
+def test_word_table_holds_the_quads_in_reading_order():
+    # Little-endian words, so the bytes are the texts on any host.
+    assert writers._WORDS.dtype == np.dtype("<u4")
+    assert writers._WORDS.tobytes() == "".join(f"{c:04d}" for c in range(10_000)).encode()
+
+
+def test_texts_of_a_table_with_two_long_fast_runs():
+    # In bit-pattern order the fast doubles are two runs, the negatives then
+    # the positives, each longer than two blocks and cut by block edges
+    # inside it; the other doubles lie before, between and after them.
+    rng = np.random.default_rng(26)
+    n_neg, n_pos = 2 * writers._BLOCK + 123, 2 * writers._BLOCK + 777
+    fast = 10.0 ** rng.uniform(-4, 17, n_neg + n_pos)
+    fast[:n_neg] *= -1
+    others = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e17, -1e17,
+              math.inf, -math.inf, math.nan]
+    values = np.concatenate([fast, others])
+    rng.shuffle(values)
+    a = np.abs(np.unique(values.view(np.int64)).view(np.float64))
+    runs = np.diff(np.flatnonzero(np.diff((a >= 1e-4) & (a < 1e17), prepend=False, append=False)))
+    assert runs[::2].tolist() == [n_neg, n_pos]
+    assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_prefix_of_every_exponent(sign):
+    # X = -4 .. 16: "0." and -X - 1 zeros before the digits for X < 0,
+    # none from X = 0 on, after the sign.
+    values = [sign * m * 10.0**x for x in range(-4, 17) for m in (1.0, 1.25, 9.875)]
+    assert _texts(values) == ["%.17g" % v for v in values]
+
+
 @pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 1001, 10_004])
 def test_index_texts_equal_str(start, n, monkeypatch):
