@@ -305,26 +305,25 @@ def _cut_time_geodesics(x, y, z):
     """
     rho = np.hypot(x, y)
     height = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
-        # A subnormal planar offset in the far half joins the axis: the far
-        # chart's t would be subnormal too and keep few digits, and the
-        # offset is below every tolerance.
-        axis = _either(rho == 0.0, _both(rho < _TINY, height > split))
-        near = _both(rho > 0.0, height <= split)
-        if isinstance(rho, np.ndarray):
-            s, gamma, r = (np.full_like(rho, np.nan) for _ in range(3))
-            for chart, mask in (
-                (_axis_chart, axis), (_near_chart, near), (_far_chart, ~axis & (height > split))
-            ):
-                i = np.flatnonzero(mask)
-                if i.size:
-                    s[i], gamma[i], r[i] = chart(rho[i], height[i])
-        else:
-            chart = _axis_chart if axis else _near_chart if near else _far_chart
-            s, gamma, r = chart(rho, height)
-        gamma = _select(z < 0.0, -gamma, gamma)
-        phi = np.arctan2(y, x) - gamma * s
+    split = 0.5 * math.pi * (1.0 + 0.5 * rho * rho)
+    # A subnormal planar offset in the far half joins the axis: the far
+    # chart's t would be subnormal too and keep few digits, and the
+    # offset is below every tolerance.
+    axis = _either(rho == 0.0, _both(rho < _TINY, height > split))
+    near = _both(rho > 0.0, height <= split)
+    if isinstance(rho, np.ndarray):
+        s, gamma, r = (np.full_like(rho, np.nan) for _ in range(3))
+        for chart, mask in (
+            (_axis_chart, axis), (_near_chart, near), (_far_chart, ~axis & (height > split))
+        ):
+            i = np.flatnonzero(mask)
+            if i.size:
+                s[i], gamma[i], r[i] = chart(rho[i], height[i])
+    else:
+        chart = _axis_chart if axis else _near_chart if near else _far_chart
+        s, gamma, r = chart(rho, height)
+    gamma = _select(z < 0.0, -gamma, gamma)
+    phi = np.arctan2(y, x) - gamma * s
     return s, gamma, r, phi
 
 
@@ -341,19 +340,16 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
     rho + min(|z|, sqrt(2 pi |z|)) (module docstring).  Raises
     ShootingConvergenceError naming the first geodesic that fails.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex, ey, ez = origin_coordinates(r, phi, gamma, s)
-        rho = np.hypot(x, y)
-        height = np.abs(z)
-        miss = np.hypot(np.hypot(ex - x, ey - y), ez - z)
-        scale = np.maximum(1.0, np.hypot(rho, z))
-        upper = _select(
-            shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf
-        )
-        certified = _both(
-            _both(miss + _EPS * scale <= tol * scale, s >= rho * (1.0 - _BOUND_SLACK)),
-            s <= upper * (1.0 + _BOUND_SLACK),
-        )
+    ex, ey, ez = origin_coordinates(r, phi, gamma, s)
+    rho = np.hypot(x, y)
+    height = np.abs(z)
+    miss = np.hypot(np.hypot(ex - x, ey - y), ez - z)
+    scale = np.maximum(1.0, np.hypot(rho, z))
+    upper = _select(shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf)
+    certified = _both(
+        _both(miss + _EPS * scale <= tol * scale, s >= rho * (1.0 - _BOUND_SLACK)),
+        s <= upper * (1.0 + _BOUND_SLACK),
+    )
     if not (certified.all() if isinstance(certified, np.ndarray) else certified):
         k = int(np.flatnonzero(np.logical_not(certified))[0])
         x, y, z, s, rho, upper, scale, miss = (
@@ -378,27 +374,26 @@ def _winding_geodesics(rho: float, height: float):
     k = np.arange(1, int(height // math.pi) + 1)
     kpi = k * math.pi
     end = (k + 1) * math.pi
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
-        lo = -(1.0 + 2.0 * rho / kpi)
-        t_min = _solve_increasing(_window_slope, lo, lo, 0.0, rho, end)
-        g_min = _window(t_min, rho, height, end)[0]
-        double = np.abs(g_min) <= 4.0 * _EPS * height
-        i = np.flatnonzero((g_min < 0.0) & ~double)
-        # G_k >= k pi (1 + t^2/2) + rho t/2 - |z| puts both roots inside
-        # [left, right].
-        right = np.sqrt(2.0 * height / kpi[i])
-        left = -(0.5 * rho + np.sqrt(0.25 * rho * rho + 2.0 * kpi[i] * height)) / kpi[i]
-        params = (rho, height, end[i])
-        t = np.concatenate(
-            [
-                t_min[double],
-                _solve_increasing(_falling, left, left, t_min[i], *params),
-                _solve_increasing(_window, right, t_min[i], right, *params),
-            ]
-        )
-        end = np.concatenate([end[double], end[i], end[i]])
-        return _window_geodesics(t, rho, end)
+    # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
+    lo = -(1.0 + 2.0 * rho / kpi)
+    t_min = _solve_increasing(_window_slope, lo, lo, 0.0, rho, end)
+    g_min = _window(t_min, rho, height, end)[0]
+    double = np.abs(g_min) <= 4.0 * _EPS * height
+    i = np.flatnonzero((g_min < 0.0) & ~double)
+    # G_k >= k pi (1 + t^2/2) + rho t/2 - |z| puts both roots inside
+    # [left, right].
+    right = np.sqrt(2.0 * height / kpi[i])
+    left = -(0.5 * rho + np.sqrt(0.25 * rho * rho + 2.0 * kpi[i] * height)) / kpi[i]
+    params = (rho, height, end[i])
+    t = np.concatenate(
+        [
+            t_min[double],
+            _solve_increasing(_falling, left, left, t_min[i], *params),
+            _solve_increasing(_window, right, t_min[i], right, *params),
+        ]
+    )
+    end = np.concatenate([end[double], end[i], end[i]])
+    return _window_geodesics(t, rho, end)
 
 
 def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
@@ -413,11 +408,13 @@ def riemannian_distance_many(points, tol: float = 1e-8) -> np.ndarray:
 
 
 def _certified_distance(x, y, z, tol: float):
-    """The cut-time length to (x, y, z), arrays or scalars, once certified."""
+    """The cut-time length to (x, y, z), arrays or scalars, once certified;
+    one np.errstate covers the solve and its certificate."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    s, gamma, r, phi = _cut_time_geodesics(x, y, z)
-    _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, gamma, r, phi = _cut_time_geodesics(x, y, z)
+        _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
     return s
 
 
@@ -453,26 +450,28 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     if 2.0 * height / math.pi > _MAX_CANDIDATES:
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
-    s, gamma, r, _ = _cut_time_geodesics(x, y, z)
-    axis = bool(rho <= _EPS * s)
-    if axis:
-        # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
-        # cut-time solution), then the vertical line as the limit k pi = |z|.
-        kpi = np.arange(2, math.ceil(height / math.pi)) * math.pi
-        kpi = np.append(kpi[kpi < height], [height] if height > math.pi else [])
-        more_s = np.sqrt(kpi * (2.0 * height - kpi))
-        more = more_s, kpi / more_s, np.sqrt(2.0 * kpi * (height - kpi)) / more_s
-    else:
-        more = _winding_geodesics(rho, height)
-    s = np.append(s, more[0])
-    gamma = np.append(gamma, math.copysign(1.0, z) * more[1])
-    r = np.append(r, more[2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, gamma, r, _ = _cut_time_geodesics(x, y, z)
+        axis = bool(rho <= _EPS * s)
+        if axis:
+            # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
+            # cut-time solution), then the vertical line as the limit k pi = |z|.
+            kpi = np.arange(2, math.ceil(height / math.pi)) * math.pi
+            kpi = np.append(kpi[kpi < height], [height] if height > math.pi else [])
+            more_s = np.sqrt(kpi * (2.0 * height - kpi))
+            more = more_s, kpi / more_s, np.sqrt(2.0 * kpi * (height - kpi)) / more_s
+        else:
+            more = _winding_geodesics(rho, height)
+        s = np.append(s, more[0])
+        gamma = np.append(gamma, math.copysign(1.0, z) * more[1])
+        r = np.append(r, more[2])
 
-    w = gamma * s
-    sinc = _sinc(w)
-    # The chord points along phi + w, reversed where sinc(w) < 0.
-    phi = np.zeros(s.size) if axis else math.atan2(y, x) - w + np.where(sinc < 0.0, math.pi, 0.0)
-    ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
+        w = gamma * s
+        sinc = _sinc(w)
+        # The chord points along phi + w, reversed where sinc(w) < 0.
+        flip = np.where(sinc < 0.0, math.pi, 0.0)
+        phi = np.zeros(s.size) if axis else math.atan2(y, x) - w + flip
+        ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
     residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
 
     return [

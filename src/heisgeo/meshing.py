@@ -9,24 +9,26 @@ points that the close-up meshes amplify.  An optional clip against the
 Riemannian distance makes that discrepancy measurable.
 
 Every surface here is the exp-image of a parameter grid (gamma x phi for
-spheres and close-ups, s x theta for the plane) and is meshed by one
-routine, `_grid_mesh`.  Vertices are the grid points row by row, except
-that a collapsed end row (a pole, or the plane's apex at s = 0) keeps only
-its first vertex.  Each grid cell is split into two triangles; at a
-collapsed row the triangles that repeat a vertex are dropped, and the rest
-form the fan around the pole.  The phi seam wraps; a partial theta range
-does not.  The kept grid points and the faces depend only on the grid's
-shape, so `_grid_topology` builds them once per shape and keeps the last
-few shapes, read-only int32; each mesh gathers its own vertices and gets
-its own writable int64 copy of the faces.
+spheres and close-ups, s x theta for the plane), given as the x, y and z
+planes `origin_coordinates` returns, and is meshed by one routine,
+`_grid_mesh`.  One rule, `_kept`, says which grid points are vertices and
+in what order: every point, row by row, except that a collapsed end row
+(a pole, or the plane's apex at s = 0) keeps only its first point.  Each
+grid cell is split into two triangles; at a collapsed row the triangles
+that repeat a vertex are dropped, and the rest form the fan around the
+pole.  The phi seam wraps; a partial theta range does not.  The faces
+depend only on the grid's shape, so `_grid_topology` builds them once per
+shape and keeps the last few shapes' faces, read-only int32; each mesh
+gathers its own vertices and gets its own writable int64 copy of the
+faces.
 
 Self-contact of a sphere is detected by spatial proximity of vertices that
 are far apart in parameter space: a pair is an event when its separation
 is at most the threshold, a tenth of the median edge length (pairs from
 `_close_pairs`, a cell hash).  The detector builds no faces: its sphere is
-the point grid, kept as the x, y and z planes `origin_coordinates`
-returns.  Each edge is taken once, as slices of each plane, and its length
-is sqrt((dx*dx + dy*dy) + dz*dz), the order in which
+the point grid's planes, and its vertex array and each vertex's grid row
+and column come from `_kept`.  Each edge is taken once, as slices of each
+plane, and its length is sqrt((dx*dx + dy*dy) + dz*dz), the order in which
 `np.linalg.norm(axis=1)` sums a 3-vector, so the threshold keeps the bits
 of the norm over the mesh's face edges.  Pairs adjacent in the parameter
 grid are dropped before any coordinate is gathered, and so are pairs
@@ -156,23 +158,29 @@ class SphereGrid:
 DEFAULT_DETECTION_GRID = (96, 192)
 
 
+def _kept(shape: tuple[int, int], collapse) -> np.ndarray:
+    """The vertex rule of every grid here, as an (n_rows, n_cols) mask: all
+    points but columns 1.. of a collapsed end row (collapse = (first_row,
+    last_row)), numbered row by row, in the mask's flat order."""
+    keep = np.ones(shape, dtype=bool)
+    keep[0, 1:] = not collapse[0]
+    keep[-1, 1:] = not collapse[1]
+    return keep
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_topology(
     n_rows: int, n_cols: int, collapse_first: bool, collapse_last: bool, wrap: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the kept grid points and the faces of an (n_rows,
-    n_cols) grid, both read-only int32; see `_grid_mesh` for the layout.
+) -> np.ndarray:
+    """The faces of an (n_rows, n_cols) grid, read-only int32; see `_grid_mesh`.
 
-    Memoized: the figures mesh several spheres on one grid, and the faces
-    cost most of a mesh.  Eight shapes hold the plane, the close-up patch
-    and three sphere grids with room to spare, in int32: it indexes any
-    grid under 2**31 points, whose points alone would take 48 GiB.
+    Memoized, faces only: the figures mesh several spheres on one grid, and
+    the faces cost most of a mesh.  Eight shapes hold the plane, the close-up
+    patch and three sphere grids with room to spare, in int32: it indexes
+    any grid under 2**31 points, whose points alone would take 48 GiB.
     """
-    keep = np.ones((n_rows, n_cols), dtype=bool)
-    keep[0, 1:] = not collapse_first
-    keep[-1, 1:] = not collapse_last
-    index = np.cumsum(keep, dtype=np.int32).reshape(keep.shape) - 1
-    index = np.where(keep, index, index[:, :1]).ravel()
+    # Each point's vertex index; a dropped point gets its row's column 0.
+    index = np.cumsum(_kept((n_rows, n_cols), (collapse_first, collapse_last)), dtype=np.int32) - 1
     cols = np.arange(n_cols if wrap else n_cols - 1)
     nxt = (cols + 1) % n_cols
     # Each cell's six corners lo_i, lo_next, hi_next, lo_i, hi_next, hi_i,
@@ -184,35 +192,33 @@ def _grid_topology(
     faces = faces.reshape(-1, 3)
     a, b, c = faces.T
     faces = np.compress((a != b) & (b != c) & (a != c), faces, axis=0)
-    kept = np.flatnonzero(keep).astype(np.int32)
-    kept.flags.writeable = faces.flags.writeable = False
-    return kept, faces
+    faces.flags.writeable = False
+    return faces
 
 
-def _grid_mesh(points: np.ndarray, scalars: dict, collapse, wrap: bool) -> TriMesh:
+def _grid_mesh(planes, scalars: dict, collapse, wrap: bool) -> TriMesh:
     """Mesh the image of an (n_rows, n_cols) parameter grid.
 
-    points has shape (n_rows, n_cols, 3) and every scalar channel broadcasts
-    to (n_rows, n_cols).  Vertices are the grid points in row-major order,
-    except that a collapsed end row (collapse = (first_row, last_row)) keeps
-    only its column-0 vertex.  Cell (j, i) becomes the triangles
+    planes are its x, y and z coordinate planes and every scalar channel
+    broadcasts to (n_rows, n_cols).  Vertices are the grid points of
+    `_kept`.  Cell (j, i) becomes the triangles
     [lo_i, lo_next, hi_next] and [lo_i, hi_next, hi_i], with lo row j, hi
     row j + 1 and next = i + 1 modulo n_cols; without wrap the last column
     starts no cell.  Faces run row by row, column by column, first triangle
     first.  Triangles that repeat an index are dropped, which leaves one fan
     per collapsed row; a last-row fan is rotated to start at its pole.
 
-    The topology comes from `_grid_topology`, built once per grid shape;
-    the mesh gets its own int64 copy of the faces, so editing them in place
-    leaves the next mesh on the grid alone.
+    The faces come from `_grid_topology`, built once per grid shape; the
+    mesh gets its own int64 copy, so editing them in place leaves the next
+    mesh on the grid alone.
     """
-    _require_finite(points)
-    shape = points.shape[:2]
-    kept, faces = _grid_topology(*shape, bool(collapse[0]), bool(collapse[1]), wrap)
+    _require_finite(*planes)
+    shape = planes[0].shape
+    keep = _kept(shape, collapse)
     return TriMesh(
-        vertices=np.take(points.reshape(-1, 3), kept, axis=0),
-        faces=faces.astype(np.int64),
-        vertex_scalars={k: np.take(np.broadcast_to(v, shape), kept) for k, v in scalars.items()},
+        vertices=np.stack([c[keep] for c in planes], axis=1),
+        faces=_grid_topology(*shape, bool(collapse[0]), bool(collapse[1]), wrap).astype(np.int64),
+        vertex_scalars={k: np.broadcast_to(v, shape)[keep] for k, v in scalars.items()},
     )
 
 
@@ -232,23 +238,16 @@ def _revolved_grid(
     return planes, {"gamma": gammas, "phi": phis}, collapse
 
 
-def _revolved_exp_mesh(gamma_rows: np.ndarray, n_phi: int, radius: float) -> TriMesh:
-    """Mesh the exp-image of the gamma rows x full phi circle grid."""
-    planes, scalars, collapse = _revolved_grid(gamma_rows, n_phi, radius)
-    return _grid_mesh(np.stack(planes, axis=-1), scalars, collapse, wrap=True)
-
-
 def sphere_exp_mesh(grid: SphereGrid) -> TriMesh:
     """Geodesic sphere as the exp-image of the tangent sphere of the radius.
 
     gamma runs uniformly over [-1, 1] including both poles, phi uniformly
-    over [0, 2pi).  Vertex layout: index 0 is the south pole (gamma = -1),
-    interior ring j (1 <= j <= n_gamma - 2) occupies indices
-    1 + (j - 1) * n_phi ... and the north pole comes last.  The mesh is
-    combinatorially closed (Euler characteristic 2).
+    over [0, 2pi).  Vertices, by `_kept`: the south pole (gamma = -1), the
+    interior rings from south to north, each from phi = 0, and the north
+    pole.  The mesh is combinatorially closed (Euler characteristic 2).
     """
     gamma_rows = np.linspace(-1.0, 1.0, grid.n_gamma)
-    return _revolved_exp_mesh(gamma_rows, grid.n_phi, grid.radius)
+    return _grid_mesh(*_revolved_grid(gamma_rows, grid.n_phi, grid.radius), wrap=True)
 
 
 def plane_exp_surface(
@@ -293,9 +292,9 @@ def plane_exp_surface(
     r = np.abs(planar)
     phi = np.where(planar >= 0.0, 0.0, math.pi)
 
-    points = np.stack(origin_coordinates(r, phi, gammas, s_values), axis=-1)
+    planes = origin_coordinates(r, phi, gammas, s_values)
     apex = s_lo == 0.0
-    mesh = _grid_mesh(points, {"theta": thetas, "s": s_values}, (apex, False), full_circle)
+    mesh = _grid_mesh(planes, {"theta": thetas, "s": s_values}, (apex, False), full_circle)
     if apex:
         # One origin vertex with theta = s = 0, whatever the theta range.
         mesh.vertices[0] = 0.0
@@ -470,10 +469,8 @@ def _detection_sphere(grid: SphereGrid) -> tuple[np.ndarray, float]:
     np.multiply(d, d, out=d)
     lengths = np.add(d[0], d[1], out=d[0])
     np.sqrt(np.add(lengths, d[2], out=lengths), out=lengths)
-    vertices = np.empty((grid.n_phi * n_rings + 2, 3))
-    for k, c in enumerate(planes):
-        vertices[0, k], vertices[-1, k] = c[0, 0], c[-1, 0]
-        vertices[1:-1, k] = c[1:-1].ravel()
+    keep = _kept(planes[0].shape, (True, True))
+    vertices = np.stack([c[keep] for c in planes], axis=1)
     return vertices, _PROXIMITY_RATIO * float(np.median(lengths, overwrite_input=True))
 
 
@@ -489,18 +486,18 @@ def _contacts(
     """
     near = np.flatnonzero(np.hypot(xyz[:, 0], xyz[:, 1]) <= reach)
     pairs = np.take(near, _close_pairs(np.take(xyz, near, axis=0), threshold))
-    # Vertex v lies on ring (v - 1) // n_phi, grid row ring + 1, at column
-    # (v - 1) % n_phi; the poles come out on rows 0 and n_gamma - 1.
-    ring, col = np.divmod(pairs - 1, grid.n_phi)
+    # Each vertex's grid row and column, from its flat grid index.
+    kept = np.flatnonzero(_kept((grid.n_gamma, grid.n_phi), (True, True)))
+    row, col = np.divmod(np.take(kept, pairs), grid.n_phi)
     d_col = np.abs(col[:, 0] - col[:, 1])
     d_col = np.minimum(d_col, grid.n_phi - d_col)
-    at_pole = ((pairs == 0) | (pairs == len(xyz) - 1)).any(axis=1)
-    param_close = (np.abs(ring[:, 0] - ring[:, 1]) <= _PARAM_ADJACENCY) & (
+    at_pole = ((row == 0) | (row == grid.n_gamma - 1)).any(axis=1)
+    param_close = (np.abs(row[:, 0] - row[:, 1]) <= _PARAM_ADJACENCY) & (
         at_pole | (d_col <= _PARAM_ADJACENCY)
     )
     # Parameter-adjacent pairs are dropped before any coordinate is gathered.
     far = ~param_close
-    pairs, ring = np.compress(far, pairs, axis=0), np.compress(far, ring, axis=0)
+    pairs, row = np.compress(far, pairs, axis=0), np.compress(far, row, axis=0)
 
     va, vb = np.take(xyz, pairs[:, 0], axis=0), np.take(xyz, pairs[:, 1], axis=0)
     separation = _row_norms(va - vb)
@@ -510,7 +507,7 @@ def _contacts(
     hit = separation < _POLE_CLOSURE_RATIO * pole_distance
 
     a, b = np.compress(hit, pairs, axis=0).T
-    ga, gb = np.take(np.linspace(-1.0, 1.0, grid.n_gamma), np.compress(hit, ring, axis=0).T + 1)
+    ga, gb = np.take(np.linspace(-1.0, 1.0, grid.n_gamma), np.compress(hit, row, axis=0).T)
     gamma_mid = 0.5 * (ga + gb)
     mid = 0.5 * (np.compress(hit, va, axis=0) + np.compress(hit, vb, axis=0))
     # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
@@ -570,7 +567,7 @@ def singular_point_closeup(
     center = float(gamma_mid[0])
     lo = max(-1.0, center - window)
     hi = min(1.0, center + window)
-    return _revolved_exp_mesh(np.linspace(lo, hi, n_gamma), n_phi, radius)
+    return _grid_mesh(*_revolved_grid(np.linspace(lo, hi, n_gamma), n_phi, radius), wrap=True)
 
 
 def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoint]:

@@ -394,6 +394,9 @@ class TestExitCodes:
             ["distance", "0,0,0", "1,2,3", "--tol", "inf"],
             ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--all-candidates"],
             ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--metric", "cygan"],
+            # GeodesicSpec refuses a non-finite direction.
+            ["geodesic", "--gamma", "0.5", "--phi", "inf", "--smax", "1"],
+            ["geodesic", "--gamma", "0.5", "--phi", "nan", "--smax", "1"],
         ],
     )
     def test_values_the_library_rejects(self, capsys, tmp_path, argv):

@@ -10,6 +10,7 @@ from heisgeo.core import (
     CoordVector,
     FrameVector,
     HeisPoint,
+    MetricTensor,
     _bracket_coord,
     commutator,
     connection_table,
@@ -173,6 +174,10 @@ class TestFrameAndMetric:
     def test_frame_norm_at_extreme_scales(self, v, want):
         # The sum of squares underflows or overflows at these scales.
         assert FrameVector(*v).norm() == pytest.approx(want, rel=1e-15)
+
+    def test_metric_tensor_must_be_3x3(self):
+        with pytest.raises(ValueError, match="3x3"):
+            MetricTensor(np.eye(2))
 
     def test_metric_at_origin_is_identity(self):
         assert np.array_equal(metric_at(ORIGIN).entries, np.eye(3))

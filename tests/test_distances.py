@@ -310,6 +310,12 @@ class TestBruteForce:
         with pytest.raises(TargetUnreachableError):
             brute_force_distance(HeisPoint(0, 0, 40.0), grid=(24, 64), s_max=2.0)
 
+    def test_unrefinable_target_raises(self):
+        # The distance, ~13.4, is past the default s_max = 10: lattice
+        # endpoints come near, but none refines to a connecting geodesic.
+        with pytest.raises(TargetUnreachableError, match="could be refined"):
+            brute_force_distance(HeisPoint(0, 0, 30.0))
+
     @pytest.mark.parametrize(
         "target",
         [

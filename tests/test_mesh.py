@@ -30,7 +30,14 @@ from heisgeo.meshing import (
     sphere_exp_mesh,
     sphere_proximity_events,
 )
-from heisgeo.meshing import _close_pairs, _contacts, _detection_sphere, _grid_topology
+from heisgeo.meshing import (
+    _close_pairs,
+    _contacts,
+    _detection_sphere,
+    _grid_mesh,
+    _grid_topology,
+    _revolved_grid,
+)
 from heisgeo.writers import write_obj
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +72,11 @@ class TestTriMesh:
     def test_validation_catches_nonfinite(self):
         mesh = TriMesh(vertices=[[0, 0, float("nan")]], faces=np.zeros((0, 3)))
         with pytest.raises(MeshError):
+            mesh.validate()
+
+    def test_validation_catches_scalar_length(self):
+        mesh = TriMesh(vertices=np.zeros((3, 3)), faces=[[0, 1, 2]], vertex_scalars={"s": [0, 1]})
+        with pytest.raises(MeshError, match="'s' length mismatch"):
             mesh.validate()
 
 
@@ -177,6 +189,10 @@ class TestProximityDetector:
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             first_singular_radius(lo=5.0, hi=6.0, iterations=2)
+
+    def test_upper_bracket_without_contact(self):
+        with pytest.raises(ValueError, match="upper bracket 2.5"):
+            first_singular_radius(2.0, 2.5, 1, (24, 48))
 
     @pytest.mark.parametrize("grid", [(3, 3), (7, 5), (64, 128), (96, 192)], ids=_shape_id)
     @pytest.mark.parametrize("radius", [1.0, 5.0])
@@ -607,12 +623,21 @@ def _loop_faces(collapsed, n_cols, n_cells, apex_out=False):
     return np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
+def _loop_vertices(n_rows, n_cols, collapse):
+    """(row, column) of each vertex, in order, as the row-by-row loops
+    numbered them: a collapsed end row is its column-0 point alone."""
+    order = []
+    for j in range(n_rows):
+        single = (j == 0 and collapse[0]) or (j == n_rows - 1 and collapse[1])
+        order.extend((j, i) for i in range(1 if single else n_cols))
+    return order
+
+
 def _loop_events(grid):
     """Proximity events filtered pair by pair, as before vectorization."""
     mesh = sphere_exp_mesh(grid)
     n_phi, n_gamma = grid.n_phi, grid.n_gamma
-    rows = [0] + [j for j in range(1, n_gamma - 1) for _ in range(n_phi)] + [n_gamma - 1]
-    cols = [-1] + list(range(n_phi)) * (n_gamma - 2) + [-1]
+    rows, cols = zip(*_loop_vertices(n_gamma, n_phi, (True, True)))
     e = mesh.edges()
     lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     tree = cKDTree(mesh.vertices)
@@ -623,7 +648,7 @@ def _loop_events(grid):
     for a, b in pairs:
         d_row = abs(rows[a] - rows[b])
         d_col = abs(cols[a] - cols[b])
-        pole = cols[a] < 0 or cols[b] < 0
+        pole = {rows[a], rows[b]} & {0, n_gamma - 1}
         if d_row <= 2 and (pole or min(d_col, n_phi - d_col) <= 2):
             continue
         va, vb = mesh.vertices[a], mesh.vertices[b]
@@ -687,6 +712,61 @@ class TestLoopReference:
     def test_faces(self, build, collapsed, n_cols, n_cells, apex_out):
         expected = _loop_faces(collapsed, n_cols, n_cells, apex_out)
         np.testing.assert_array_equal(build().faces, expected)
+
+    @pytest.mark.parametrize("wrap", [True, False], ids=["wrap", "open"])
+    @pytest.mark.parametrize(
+        "collapse", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["none", "first", "last", "both"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 5), (5, 4)], ids=_shape_id)
+    def test_vertices_and_channels(self, shape, collapse, wrap):
+        # Every coordinate plane and scalar channel, full-shape, per row or
+        # per column, is read at the loops' vertices in their order.
+        rng = np.random.default_rng(sum(shape) + 4 * sum(collapse) + wrap)
+        planes = tuple(rng.standard_normal(shape) for _ in range(3))
+        scalars = {
+            "point": rng.standard_normal(shape),
+            "row": rng.standard_normal((shape[0], 1)),
+            "column": rng.standard_normal(shape[1]),
+        }
+        mesh = _grid_mesh(planes, scalars, collapse, wrap)
+        order = _loop_vertices(*shape, collapse)
+        assert mesh.vertices.tolist() == [[p[j, i] for p in planes] for j, i in order]
+        assert mesh.vertex_scalars.keys() == scalars.keys()
+        for name, values in scalars.items():
+            values = np.broadcast_to(values, shape)
+            assert mesh.vertex_scalars[name].tolist() == [values[j, i] for j, i in order], name
+        collapsed = [collapse[0], *[False] * (shape[0] - 2), collapse[1]]
+        n_cells = shape[1] if wrap else shape[1] - 1
+        np.testing.assert_array_equal(mesh.faces, _loop_faces(collapsed, shape[1], n_cells))
+        mesh.validate()
+
+    @pytest.mark.parametrize("grid", _CLOSEUP_GRIDS, ids=_shape_id)
+    def test_contact_rows_and_columns(self, grid):
+        # Each event's two vertices, placed on the grid by the loops'
+        # numbering: the detector's coordinates are those grid points',
+        # gamma_mid is the mean of their rows' gammas, and the pair is more
+        # than two rows apart, or apart by more than two columns (phi
+        # circular) off the poles.
+        n_phi, n_gamma = grid
+        where = np.array(_loop_vertices(n_gamma, n_phi, (True, True)))
+        gammas = np.linspace(-1.0, 1.0, n_gamma)
+        n_events = 0
+        for radius in _CLOSEUP_RADII:
+            sphere = SphereGrid(*grid, radius)
+            vertices, threshold = _detection_sphere(sphere)
+            planes = _revolved_grid(gammas, n_phi, radius)[0]
+            expected = np.stack([p[where[:, 0], where[:, 1]] for p in planes], axis=1)
+            assert vertices.tobytes() == expected.tobytes(), radius
+            a, b, _, gamma_mid, _ = _contacts(sphere, vertices, threshold)
+            (ja, ia), (jb, ib) = where[a].T, where[b].T
+            assert gamma_mid.tobytes() == (0.5 * (gammas[ja] + gammas[jb])).tobytes(), radius
+            d_col = np.abs(ia - ib)
+            d_col = np.minimum(d_col, n_phi - d_col)
+            pole = np.isin(ja, [0, n_gamma - 1]) | np.isin(jb, [0, n_gamma - 1])
+            assert ((np.abs(ja - jb) > 2) | (~pole & (d_col > 2))).all(), radius
+            n_events += a.size
+        assert n_events or grid == (3, 3)
 
     @pytest.mark.parametrize(
         "radius, shape",
@@ -761,7 +841,7 @@ class TestTopologyCache:
         # Each mesh owns writable faces, apart from the cache and each other.
         shared = _grid_topology(
             len(collapsed), n_cols, bool(collapsed[0]), bool(collapsed[-1]), n_cells == n_cols
-        )[1]
+        )
         np.testing.assert_array_equal(np.sort(shared, axis=None), np.sort(expected, axis=None))
         assert cached.faces.flags.writeable and cold.faces.flags.writeable
         assert cached.faces.dtype == cold.faces.dtype == np.int64
@@ -785,11 +865,11 @@ class TestTopologyCache:
         np.testing.assert_array_equal(meshes[0].faces, _loop_faces([1] + [0] * 5, 12, 12, True))
 
     def test_cached_arrays_are_read_only(self):
-        for arr in _grid_topology(9, 7, True, True, True):
-            assert arr.dtype == np.int32
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        faces = _grid_topology(9, 7, True, True, True)
+        assert faces.dtype == np.int32
+        assert not faces.flags.writeable
+        with pytest.raises(ValueError):
+            faces[0] = 1
 
     def test_cache_stays_bounded(self):
         _grid_topology.cache_clear()
