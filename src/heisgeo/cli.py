@@ -10,10 +10,12 @@ like the option, dashes or underscores); explicit command-line flags win
 over the file.  Points are comma-separated triples `x,y,z`, angles are in
 radians.
 
-A query pays little around its solve: a line that starts with a command is
-parsed by that command's parser alone (the parse the top-level parser
-would make), a text output is written through its file descriptor, and
-`distance` solves its one target on float64 scalars with no array
+A query pays little around its solve: a plain line that starts with a
+command is read straight from that command's action table with no argparse
+call, and only help, errors and unusual spellings go through the top-level
+parser, which gives the same namespace and keeps every message and exit
+code (see _parse); a text output is written through its file descriptor,
+and `distance` solves its one target on float64 scalars with no array
 machinery (see heisgeo.distances).
 """
 
@@ -76,7 +78,10 @@ def _parse_vector(text: str) -> tuple[float, float, float]:
 
 
 def _parse_point(text: str) -> HeisPoint:
-    return HeisPoint(*_parse_vector(text))
+    try:
+        return HeisPoint(*_parse_vector(text))
+    except ValueError as exc:  # HeisPoint refuses a non-finite coordinate
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}") from exc
 
 
 @functools.cache
@@ -154,26 +159,112 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _store(args: argparse.Namespace, action: argparse.Action, text: str) -> bool:
+    """Set the action's value from text after its type and choices checks.
+
+    False, and nothing set, when a check refuses the text.
+    """
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return False
+    if action.choices is not None and value not in action.choices:
+        return False
+    setattr(args, action.dest, value)
+    return True
+
+
+def _plain_line(
+    command: argparse.ArgumentParser, tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace the command's parser makes of a plain line, or None.
+
+    The line is read straight from the parser's own action table.  A plain
+    line holds only
+    - exact long options that store one value or a switch, a value as the
+      next token (not starting with "-", unless it is "-") or after the
+      option's first "=" (neither empty nor "--", which Python 3.10 and
+      3.11 read as an empty list);
+    - at most one "--", followed by exactly the positionals still to come;
+    - exactly as many positionals as the command has.
+    Each value takes its action's type and choices checks as it is read, so
+    a refused value gives None even when a later repeat would override it,
+    as argparse refuses it.  Defaults follow argparse: SUPPRESS is skipped,
+    a str default goes through the type, and no default is choice-checked.
+    Any other line gives None.
+    """
+    args = argparse.Namespace()
+    positionals = []
+    for action in command._actions:
+        if not action.option_strings:
+            positionals.append(action)
+        default = action.default
+        if action.dest is argparse.SUPPRESS or default is argparse.SUPPRESS:
+            continue
+        if isinstance(default, str) and action.type is not None:
+            try:
+                default = action.type(default)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        setattr(args, action.dest, default)
+    read = 0  # positionals read so far
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--":
+            tail = tokens[i:]
+            if not tail or len(tail) != len(positionals) - read or "--" in tail:
+                return None
+            for action, text in zip(positionals[read:], tail):
+                if not _store(args, action, text):
+                    return None
+            return args
+        if token[:1] != "-":
+            if read == len(positionals) or not _store(args, positionals[read], token):
+                return None
+            read += 1
+            continue
+        flag, eq, text = token.partition("=")
+        action = command._option_string_actions.get(flag) if flag[:2] == "--" else None
+        if type(action) is argparse._StoreTrueAction and not eq:
+            setattr(args, action.dest, action.const)
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if not eq:
+            if i == len(tokens):
+                return None
+            text = tokens[i]
+            i += 1
+            if text[:1] == "-" and text != "-":
+                return None
+        elif text in ("", "--"):
+            return None
+        if not _store(args, action, text):
+            return None
+    return args if read == len(positionals) else None
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as the top-level parser parses it, in fewer steps.
 
-    The top-level parser hands every token after the command to that
-    command's parser, so a line that starts with a command is parsed by the
-    command's parser alone.  Anything else goes through the top-level
-    parser: help, --version, no or an unknown command, tokens the command
-    leaves over, and a token starting with "--=", which the top-level parser
-    refuses as an ambiguous prefix of its own options before any command
-    sees it.  Every message and exit code is therefore the top-level
+    Two routes.  The top-level parser hands every token after the command
+    to that command's parser, so a plain line that starts with a command
+    (see _plain_line) is read straight from that command's action table,
+    with no argparse call.  Everything else goes through the top-level
+    parser: help, --version, no or an unknown command, abbreviated options,
+    dash-led values, "--" anywhere else, and every line a type or choices
+    check refuses.  Every message and exit code is therefore the top-level
     parser's.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
-    if command is not None and not any(token.startswith("--=") for token in argv):
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = None if command is None else _plain_line(command, argv[1:])
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> list[str]:

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes, config file."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisgeo
 from heisgeo import cli, core, distances, geodesics, meshing, writers
@@ -850,9 +854,9 @@ class TestConfigParity:
 
 
 # (argv, exit code or None when it parses, the stream and a text it holds).
-# A line that starts with a command is parsed by that command's parser
-# (cli._parse); everything else, and every token it leaves over, by the
-# top-level parser, whose usage line and messages the errors keep.
+# A plain line that starts with a command is read from that command's action
+# table (cli._plain_line); everything else goes to the top-level parser,
+# whose usage line and messages the errors keep.
 _TOP_USAGE = "usage: heisgeo [-h]"
 _DISTANCE_USAGE = "usage: heisgeo distance"
 _PARSE_CASES = [
@@ -884,6 +888,20 @@ _PARSE_CASES = [
      "heisgeo: error: ambiguous option: --=x could match --help, --version"),
     (["geodesic", "--n=x"], 2, "err", "heisgeo geodesic: error: argument --n: invalid int"),
     (["curvature", "extra"], 2, "err", "heisgeo: error: unrecognized arguments: extra"),
+    # A trailing "--" with no positional after it is left over.
+    (["curvature", "--"], 2, "err", "heisgeo: error: unrecognized arguments: --"),
+    # Each value is checked as it is read: the later --format does not save the first.
+    (["sphere", "--format", "-", "--format", "ply"], 2, "err",
+     "heisgeo sphere: error: argument --format: invalid choice: '-'"),
+    # Python 3.10 and 3.11 read "--opt=--" as an empty list, 3.13 as "--".
+    (["curvature", "--out=--"], None, "", ""),
+    # A non-finite point: the point type's reason, not "invalid _parse_point value".
+    (["distance", "0,0,0", "nan,0,0"], 2, "err",
+     "heisgeo distance: error: argument q: coordinates must be finite"),
+    (["distance", "1e400,0,0", "0,0,0"], 2, "err",
+     "heisgeo distance: error: argument p: coordinates must be finite"),
+    (["geodesic", "--base", "nan,0,0"], 2, "err",
+     "heisgeo geodesic: error: argument --base: coordinates must be finite"),
 ]
 
 
@@ -894,6 +912,46 @@ def _parse_outcome(parse, argv, capsys):
         result = exc.code
     captured = capsys.readouterr()
     return result, captured.out, captured.err
+
+
+# Tokens of every kind the two routes must read alike: numbers, points
+# (dash-led, non-finite), choices, "-", "", "a=b", dash values, "--", "-h".
+_TOKENS = ["0", "2.5", "8", "-1", "-", "", "nan", "1e400", "0,0,0", "1,2,3", "-1,2,3",
+           "-.5,0,0", "nan,0,0", "1e400,0,0", "csv", "obj", "ply", "cygan", "euclid", "a=b",
+           "-x", "--", "-h", "--out"]
+
+
+@st.composite
+def _command_line(draw, name):
+    options = [s for a in _build_parser()[1][name]._actions for s in a.option_strings]
+    option = st.sampled_from(options)
+    token = st.sampled_from(_TOKENS)
+    piece = st.one_of(
+        st.tuples(option, token).map(list),
+        option.map(lambda o: [o]),
+        st.tuples(option, token).map(lambda t: ["=".join(t)]),
+        st.tuples(option, st.integers(2, 9)).map(lambda t: [t[0][:t[1]]]),
+        token.map(lambda t: [t]),
+    )
+    pieces = draw(st.lists(piece, max_size=6))
+    if name == "distance" and draw(st.booleans()):
+        # Two points, at any place, sometimes after a "--".
+        points = draw(st.lists(st.sampled_from(["0,0,0", "1,2,3", "-1,2,3", "nan,0,0"]),
+                               min_size=2, max_size=2))
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, ["--", *points] if draw(st.booleans()) else points)
+    return [name] + [t for piece in pieces for t in piece]
+
+
+def _parsed(parse, argv):
+    """(namespace as sorted repr, or exit code), stdout, stderr of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 class TestParseRoute:
@@ -913,16 +971,48 @@ class TestParseRoute:
                 usage = _TOP_USAGE if err.count("heisgeo: error:") else f"usage: heisgeo {argv[0]}"
                 assert err.startswith(usage)
 
+    @pytest.mark.parametrize("name", sorted(_build_parser()[1]))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_lines_parse_alike(self, name, data):
+        # Exact, "=", abbreviated and repeated options, dash values, "--"
+        # anywhere: the same namespace (nan-safe, order-free), exit code,
+        # stdout and stderr as the top-level parser.
+        argv = data.draw(_command_line(name))
+        assert _parsed(cli._parse, argv) == _parsed(_build_parser()[0].parse_args, argv)
+
     def test_commands_skip_the_top_level_parser(self, capsys, tmp_path, monkeypatch):
-        # A plain query and a config file's re-parse go to the command's
-        # parser alone, with the output of the flags.
+        # The benchmark's three line shapes, a plain query and a config
+        # file's re-parse make no argparse call, and give the flags' output.
         (tmp_path / "cfg.json").write_text(json.dumps({"metric": "cygan"}))
         flags = run(["distance", "--metric", "cygan", "0,0,0", "3,4,0"], capsys)
-        monkeypatch.setattr(_build_parser()[0], "parse_args", None)
+        parser, commands = _build_parser()
+
+        class ArgparseCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise ArgparseCalled
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        for command in commands.values():
+            monkeypatch.setattr(command, "parse_known_args", refuse)
+        lines = [
+            ["distance", "--out", "d.out", "--all-candidates", "--", "0.1,-0.5,0.7", "-1,0,2"],
+            ["sphere", "--radius", "2.0", "--nphi", "8", "--ngamma", "3", "--clip-to-metric",
+             "--format", "ply", "--out", "clip.ply"],
+            ["figures", "--out-dir", "figures", "--nphi", "48", "--ngamma", "96",
+             "--format", "obj"],
+        ]
+        for line in lines:
+            assert cli._parse(line).command == line[0]
         assert run(["distance", "0,0,0", "3,4,0"], capsys)[0] == 0
         config = run(["distance", "--config", str(tmp_path / "cfg.json"), "0,0,0", "3,4,0"],
                      capsys)
         assert config == flags == (0, "5\n", "")
+        # An abbreviated option is the top-level parser's to read.
+        with pytest.raises(ArgparseCalled):
+            cli._parse(["distance", "--met", "cygan", "0,0,0", "3,4,0"])
 
     def test_threads_parse_their_own_lines(self, tmp_path):
         # Two threads, one with a config file, parse through the shared
