@@ -1,9 +1,9 @@
 """Command-line surface: geodesic sampling, spheres, figures, distances.
 
 Exit codes are a stable scripting contract: 0 on success, 2 for invalid
-arguments, 3 for I/O failures, 4 when a solver or detector fails to
-produce a result.  Every command is deterministic; identical flags yield
-byte-identical output files.
+arguments (a grid too large for memory among them), 3 for I/O failures, 4
+when a solver or detector fails to produce a result.  Every command is
+deterministic; identical flags yield byte-identical output files.
 
 An optional JSON config file can supply any long-option value (keys named
 like the option, dashes or underscores); explicit command-line flags win
@@ -11,12 +11,16 @@ over the file.  Points are comma-separated triples `x,y,z`, angles are in
 radians.
 
 A query pays little around its solve: a plain line that starts with a
-command is read straight from that command's action table with no argparse
-call, and only help, errors and unusual spellings go through the top-level
-parser, which gives the same namespace and keeps every message and exit
-code (see _parse); a text output is written through its file descriptor,
-and `distance` solves its one target on float64 scalars with no array
-machinery (see heisgeo.distances).
+command is read straight from that command's action table, with argparse's
+value checks but no argparse parse, and only help, errors and unusual
+spellings go through the top-level parser, which gives the same namespace
+and keeps every message and exit code (see _parse); a text output is
+written through its file descriptor, and `distance` solves its one target
+on float64 scalars with no array machinery (see heisgeo.distances).  Every fixed-shape record (a geodesic
+sample, a connecting geodesic) is one format string filled with its
+values, with the bytes of format_float or of json.dumps with sorted keys.
+"--" has one reading on every supported Python, 3.13's: "--opt=--" gives
+the option the value "--", as does a positional after the first "--".
 """
 
 from __future__ import annotations
@@ -65,6 +69,16 @@ EXIT_SOLVER = 4
 _FIGURE_PLANE_RESOLUTION = (128, 96)
 _FIGURE_PLANE_SMAX = 6.0
 _FIGURE_CLOSEUP_RESOLUTION = (96, 48)
+
+# Fixed-shape output records, one format string each.  A value's text is the
+# one format_float (%.17g) or json.dumps (float.__repr__, sorted keys) would
+# give it: every value printed is finite, because the candidates are
+# certified and HeisPoint, FrameVector and GeodesicSpec refuse non-finite
+# values.
+_CSV_SAMPLE = ",".join(["%.17g"] * 7)  # s, x, y, z, alpha, beta, gamma
+_JSONL_SAMPLE = '{"alpha": %r, "beta": %r, "gamma": %r, "s": %r, "x": %r, "y": %r, "z": %r}'
+_CANDIDATE = '{"gamma": %r, "phi": %r, "residual": %r, "s": %r}'
+_AXIS_CANDIDATE = '{"axis_family": true, ' + _CANDIDATE[1:]
 
 
 def _parse_vector(text: str) -> tuple[float, float, float]:
@@ -159,19 +173,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _store(args: argparse.Namespace, action: argparse.Action, text: str) -> bool:
-    """Set the action's value from text after its type and choices checks.
-
-    False, and nothing set, when a check refuses the text.
-    """
-    try:
-        value = text if action.type is None else action.type(text)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return False
-    if action.choices is not None and value not in action.choices:
-        return False
+def _store(
+    command: argparse.ArgumentParser, args: argparse.Namespace, action: argparse.Action, text: str
+) -> None:
+    """Set the action's value from text after the parser's own type and
+    choices checks; argparse.ArgumentError, and nothing set, if one refuses."""
+    value = command._get_value(action, text)
+    command._check_value(action, value)
     setattr(args, action.dest, value)
-    return True
 
 
 def _plain_line(
@@ -183,14 +192,14 @@ def _plain_line(
     line holds only
     - exact long options that store one value or a switch, a value as the
       next token (not starting with "-", unless it is "-") or after the
-      option's first "=" (neither empty nor "--", which Python 3.10 and
-      3.11 read as an empty list);
+      option's first "=" (not empty);
     - at most one "--", followed by exactly the positionals still to come;
     - exactly as many positionals as the command has.
     Each value takes its action's type and choices checks as it is read, so
-    a refused value gives None even when a later repeat would override it,
-    as argparse refuses it.  Defaults follow argparse: SUPPRESS is skipped,
-    a str default goes through the type, and no default is choice-checked.
+    a refused value raises argparse.ArgumentError even when a later repeat
+    would override it, as argparse refuses it.  Defaults follow argparse:
+    SUPPRESS is skipped and no default is type- or choice-checked (argparse
+    would pass a str default through the type, but no option has both).
     Any other line gives None.
     """
     args = argparse.Namespace()
@@ -198,15 +207,9 @@ def _plain_line(
     for action in command._actions:
         if not action.option_strings:
             positionals.append(action)
-        default = action.default
-        if action.dest is argparse.SUPPRESS or default is argparse.SUPPRESS:
+        if action.dest is argparse.SUPPRESS or action.default is argparse.SUPPRESS:
             continue
-        if isinstance(default, str) and action.type is not None:
-            try:
-                default = action.type(default)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-        setattr(args, action.dest, default)
+        setattr(args, action.dest, action.default)
     read = 0  # positionals read so far
     i = 0
     while i < len(tokens):
@@ -217,12 +220,12 @@ def _plain_line(
             if not tail or len(tail) != len(positionals) - read or "--" in tail:
                 return None
             for action, text in zip(positionals[read:], tail):
-                if not _store(args, action, text):
-                    return None
+                _store(command, args, action, text)
             return args
         if token[:1] != "-":
-            if read == len(positionals) or not _store(args, positionals[read], token):
+            if read == len(positionals):
                 return None
+            _store(command, args, positionals[read], token)
             read += 1
             continue
         flag, eq, text = token.partition("=")
@@ -239,10 +242,9 @@ def _plain_line(
             i += 1
             if text[:1] == "-" and text != "-":
                 return None
-        elif text in ("", "--"):
+        elif not text:
             return None
-        if not _store(args, action, text):
-            return None
+        _store(command, args, action, text)
     return args if read == len(positionals) else None
 
 
@@ -252,18 +254,35 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     Two routes.  The top-level parser hands every token after the command
     to that command's parser, so a plain line that starts with a command
     (see _plain_line) is read straight from that command's action table,
-    with no argparse call.  Everything else goes through the top-level
+    with no argparse parse.  Everything else goes through the top-level
     parser: help, --version, no or an unknown command, abbreviated options,
     dash-led values, "--" anywhere else, and every line a type or choices
     check refuses.  Every message and exit code is therefore the top-level
     parser's.
+
+    Both routes read "--" as Python 3.13 does: as the value of "--opt=--",
+    and as a positional after the first "--".  Python 3.10-3.12 store an
+    empty list there, past the type and choices checks; such a value is
+    stored again from the text "--", through those checks, so a refusal
+    exits 2 with the command's usage and argparse's message.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
-    args = None if command is None else _plain_line(command, argv[1:])
-    if args is None:
-        return parser.parse_args(argv)
-    args.command = argv[0]
+    try:
+        args = None if command is None else _plain_line(command, argv[1:])
+    except argparse.ArgumentError:
+        args = None
+    if args is not None:
+        args.command = argv[0]
+        return args
+    args = parser.parse_args(argv)
+    command = commands[args.command]
+    for action in command._actions:
+        if action.nargs is None and getattr(args, action.dest, None) == []:
+            try:
+                _store(command, args, action, "--")
+            except argparse.ArgumentError as exc:
+                command.error(str(exc))
     return args
 
 
@@ -329,17 +348,15 @@ def _write_mesh(mesh, out: str, fmt: str) -> None:
 def _cmd_geodesic(args) -> int:
     spec = GeodesicSpec.from_direction(args.gamma, args.phi, base=args.base)
     points = geodesic_polyline(spec, args.smax, args.n)
-    s_values = np.linspace(0.0, args.smax, args.n + 1)
-    rows = []
-    for s, point in zip(s_values, points):
-        vel = velocity_frame_at(spec, float(s))
-        rows.append((float(s), point.x, point.y, point.z, vel.a, vel.b, vel.c))
-    header = ("s", "x", "y", "z", "alpha", "beta", "gamma")
+    samples = []
+    for s, point in zip(np.linspace(0.0, args.smax, args.n + 1).tolist(), points):
+        vel = velocity_frame_at(spec, s)
+        samples.append((s, point.x, point.y, point.z, vel.a, vel.b, vel.c))
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(format_float(v) for v in row) for row in rows]
+        lines = ["s,x,y,z,alpha,beta,gamma"]
+        lines += [_CSV_SAMPLE % sample for sample in samples]
     else:
-        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
+        lines = [_JSONL_SAMPLE % (a, b, c, s, x, y, z) for s, x, y, z, a, b, c in samples]
     _write_lines(lines, args.out)
     return EXIT_OK
 
@@ -443,17 +460,9 @@ def _cmd_distance(args) -> int:
         return EXIT_OK
     if args.all_candidates:
         candidates = shoot_candidates(left_quotient(args.p, args.q), tol=args.tol)
-        lines = []
-        for cand in candidates:
-            record = {
-                "gamma": cand.spec.gamma,
-                "phi": cand.spec.phi,
-                "s": cand.s,
-                "residual": cand.residual,
-            }
-            if cand.axis_family:
-                record["axis_family"] = True
-            lines.append(json.dumps(record, sort_keys=True))
+        # shoot_candidates flags every entry of a list alike.
+        line = _AXIS_CANDIDATE if candidates[0].axis_family else _CANDIDATE
+        lines = [line % (c.spec.gamma, c.spec.phi, c.residual, c.s) for c in candidates]
         _write_lines(lines, args.out)
         return EXIT_OK
     _write_lines([format_float(riemannian_distance(args.p, args.q, tol=args.tol))], args.out)
@@ -531,6 +540,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"heisgeo: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # Every command builds its output before its first write, so a grid
+        # too large for memory leaves no file behind.
+        print(f"heisgeo: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"heisgeo: I/O failure: {exc}", file=sys.stderr)

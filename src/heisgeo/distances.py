@@ -474,16 +474,17 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
         ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
     residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
 
+    order = np.append(0, 1 + np.argsort(s[1:], kind="stable"))
     return [
         ShootingSolution(
-            spec=GeodesicSpec(
-                base=ORIGIN, r=float(r[i]), phi=float(phi[i]), gamma=float(gamma[i])
-            ),
-            s=float(s[i]),
-            residual=float(residual[i]),
+            spec=GeodesicSpec(base=ORIGIN, r=r_i, phi=phi_i, gamma=gamma_i),
+            s=s_i,
+            residual=residual_i,
             axis_family=axis,
         )
-        for i in [0, *1 + np.argsort(s[1:], kind="stable")]
+        for r_i, phi_i, gamma_i, s_i, residual_i in zip(
+            *(np.take(a, order).tolist() for a in (r, phi, gamma, s, residual))
+        )
     ]
 
 

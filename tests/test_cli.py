@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes, config file."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -36,6 +37,28 @@ def run_python(args):
     paths = [str(Path(heisgeo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _assert_geodesic_lines(gamma, phi, smax, n, base):
+    """geodesic's CSV and JSONL lines are format_float joins and json.dumps
+    records (sorted keys) of the closed-form samples."""
+    spec = geodesics.GeodesicSpec.from_direction(gamma, phi, base=cli._parse_point(base))
+    points = meshing.geodesic_polyline(spec, smax, n)
+    header = ("s", "x", "y", "z", "alpha", "beta", "gamma")
+    rows = []
+    for s, point in zip(np.linspace(0.0, smax, n + 1), points):
+        vel = geodesics.velocity_frame_at(spec, float(s))
+        rows.append((float(s), point.x, point.y, point.z, vel.a, vel.b, vel.c))
+    csv = [",".join(header)] + [",".join(writers.format_float(v) for v in row) for row in rows]
+    jsonl = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
+    argv = ["geodesic", f"--gamma={gamma!r}", f"--phi={phi!r}", f"--smax={smax!r}",
+            f"--n={n}", f"--base={base}"]
+    for fmt, lines in (("csv", csv), ("jsonl", jsonl)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv + ["--format", fmt]) == 0
+        assert err.getvalue() == "" and out.getvalue()[-1:] == "\n"
+        assert out.getvalue().splitlines() == lines
 
 
 class TestGeodesicCommand:
@@ -90,6 +113,21 @@ class TestGeodesicCommand:
         # stdout gets the same bytes as the file.
         code, stdout, _ = run(argv, capsys)
         assert code == 0 and stdout.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("gamma", ["0", "1", "-1", "-0.0"])
+    def test_lines_are_the_formatted_samples(self, gamma):
+        _assert_geodesic_lines(float(gamma), 0.0, 3.0, 7, "-0.0,-0.0,-0.0")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(-1.0, 1.0),
+        phi=st.floats(-20.0, 20.0),
+        smax=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        n=st.integers(2, 12),
+        base=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+    )
+    def test_random_lines_are_the_formatted_samples(self, gamma, phi, smax, n, base):
+        _assert_geodesic_lines(gamma, phi, smax, n, ",".join(map(repr, base)))
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(["geodesic", "--gamma", "0", "--smax", "1", "--n", "2"], capsys)
@@ -251,6 +289,39 @@ class TestDistanceCommand:
         code, out, _ = run(["distance", "0,0,0", q], capsys)
         assert code == 0
         assert first["s"] == float(out)
+
+    @pytest.mark.parametrize(
+        "p, q, tol",
+        [
+            # on the axis: one line per circle of geodesics, flagged
+            ("0,0,0", "0,0,7", "1e-8"),
+            ("0.5,-0.2,1", "0.5,-0.2,-9999", "1e-8"),
+            # next to the axis: the windows are solved
+            ("0,0,0", "1e-13,0,5", "1e-8"),
+            ("0,0,0", "5e-13,0,5", "1e-14"),
+            # off the axis, scales 1e-3..1e2, |z| up to 1e4
+            ("0,0,0", "1e-3,2e-3,-4e-6", "1e-8"),
+            ("0,0,0", "0.3,-0.1,0.05", "1e-8"),
+            ("1,2,3", "-1,0.5,7", "1e-8"),
+            ("0,0,0", "-7,3,40", "1e-8"),
+            ("0,0,0", "60,-80,1e4", "1e-8"),
+            ("0,0,0", "1e2,0,-5e3", "1e-10"),
+        ],
+    )
+    def test_candidate_lines_are_the_json_records(self, capsys, p, q, tol):
+        # Each line is json.dumps of its geodesic's record with sorted keys,
+        # in shoot_candidates' order.
+        code, out, _ = run(["distance", p, q, "--all-candidates", "--tol", tol], capsys)
+        assert code == 0
+        target = core.left_quotient(cli._parse_point(p), cli._parse_point(q))
+        lines = []
+        for cand in distances.shoot_candidates(target, tol=float(tol)):
+            record = {"gamma": cand.spec.gamma, "phi": cand.spec.phi, "s": cand.s,
+                      "residual": cand.residual}
+            if cand.axis_family:
+                record["axis_family"] = True
+            lines.append(json.dumps(record, sort_keys=True))
+        assert out[-1:] == "\n" and out.splitlines() == lines
 
     def test_candidates_next_to_the_axis(self, capsys):
         # 5e-13 from the axis is far above one rounding unit of the distance:
@@ -434,6 +505,48 @@ class TestExitCodes:
             code, stdout, err = run(argv + ["--out", str(out)], capsys)
         assert code == 2 and stdout == "" and err.startswith("heisgeo: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--gamma=--", "--smax", "1"],
+        ["distance", "--tol=--", "0,0,0", "1,0,0"],
+        ["sphere", "--radius=--", "--out", "x.obj"],
+        ["distance", "0,0,0", "--", "--"],
+        ["sphere", "--format=--", "--radius", "1", "--out", "y.obj"],
+        ["geodesic", "--format=--", "--gamma", "0.5", "--smax", "1", "--out", "g.txt"],
+    ])
+    def test_dash_dash_value_is_checked(self, capsys, tmp_path, monkeypatch, argv):
+        # "--" as a value is checked like any other (Python 3.10-3.12 would
+        # store an empty list past the checks): exit 2, no file.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error: argument " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out=--", "--ou=--"])
+    def test_output_file_named_dash_dash(self, capsys, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run(["curvature"], capsys)
+        assert code == 0
+        assert run(["curvature", flag], capsys) == (0, "", "")
+        assert (tmp_path / "--").read_text() == stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--radius", "1", "--nphi", "3", "--ngamma", str(2**45), "--out", "m.obj"],
+        ["surface", "--ns", str(2**45), "--out", "s.obj"],
+        ["figures", "--ngamma", str(2**45), "--out-dir", "figures"],
+        ["geodesic", "--gamma", "0.5", "--smax", "1", "--n", str(2**45), "--out", "g.csv"],
+    ])
+    def test_grid_too_large_for_memory(self, capsys, tmp_path, monkeypatch, argv):
+        # 2^45 rows of float64 are 256 TiB, past the 47-bit user address
+        # space, so the allocation fails under any overcommit policy.  Never
+        # try a size that could be allocated.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("heisgeo: not enough memory: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_failure(self, capsys, tmp_path):
         code, _, err = run(
@@ -893,8 +1006,23 @@ _PARSE_CASES = [
     # Each value is checked as it is read: the later --format does not save the first.
     (["sphere", "--format", "-", "--format", "ply"], 2, "err",
      "heisgeo sphere: error: argument --format: invalid choice: '-'"),
-    # Python 3.10 and 3.11 read "--opt=--" as an empty list, 3.13 as "--".
+    # Python 3.10-3.12 store an empty list for "--opt=--" and for a second
+    # "--", past the type and choices checks; both routes read "--" there,
+    # as 3.13 does, and check it.
     (["curvature", "--out=--"], None, "", ""),
+    (["curvature", "--ou=--"], None, "", ""),
+    (["geodesic", "--gamma=--", "--smax", "1"], 2, "err",
+     "heisgeo geodesic: error: argument --gamma: invalid float value: '--'"),
+    (["distance", "--tol=--", "0,0,0", "1,0,0"], 2, "err",
+     "heisgeo distance: error: argument --tol: invalid float value: '--'"),
+    (["sphere", "--radius=--", "--out", "x.obj"], 2, "err",
+     "heisgeo sphere: error: argument --radius: invalid float value: '--'"),
+    (["distance", "0,0,0", "--", "--"], 2, "err",
+     "heisgeo distance: error: argument q: expected x,y,z triple, got '--'"),
+    (["sphere", "--format=--", "--radius", "1", "--out", "y.obj"], 2, "err",
+     "heisgeo sphere: error: argument --format: invalid choice: '--'"),
+    (["geodesic", "--format=--", "--gamma", "0.5", "--smax", "1"], 2, "err",
+     "heisgeo geodesic: error: argument --format: invalid choice: '--'"),
     # A non-finite point: the point type's reason, not "invalid _parse_point value".
     (["distance", "0,0,0", "nan,0,0"], 2, "err",
      "heisgeo distance: error: argument q: coordinates must be finite"),
@@ -903,6 +1031,27 @@ _PARSE_CASES = [
     (["geodesic", "--base", "nan,0,0"], 2, "err",
      "heisgeo geodesic: error: argument --base: coordinates must be finite"),
 ]
+
+
+def _top_level(argv):
+    """The top-level parser's namespace, with Python 3.13's reading of "--".
+
+    Python 3.10-3.12 store an empty list for a one-value action given
+    "--opt=--", or a positional after the first "--"; 3.13 passes the text
+    "--" through the action's type and choices checks.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    command = commands[args.command]
+    for action in command._actions:
+        if action.nargs is None and getattr(args, action.dest, None) == []:
+            try:
+                value = command._get_value(action, "--")
+                command._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                command.error(str(exc))
+            setattr(args, action.dest, value)
+    return args
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -960,7 +1109,7 @@ class TestParseRoute:
     )
     def test_same_as_the_top_level_parser(self, capsys, argv, code, stream, text):
         fast = _parse_outcome(cli._parse, argv, capsys)
-        assert fast == _parse_outcome(_build_parser()[0].parse_args, argv, capsys)
+        assert fast == _parse_outcome(_top_level, argv, capsys)
         result, out, err = fast
         if code is None:
             assert result["command"] == argv[0] and out == err == ""
@@ -979,7 +1128,14 @@ class TestParseRoute:
         # anywhere: the same namespace (nan-safe, order-free), exit code,
         # stdout and stderr as the top-level parser.
         argv = data.draw(_command_line(name))
-        assert _parsed(cli._parse, argv) == _parsed(_build_parser()[0].parse_args, argv)
+        assert _parsed(cli._parse, argv) == _parsed(_top_level, argv)
+
+    def test_no_option_has_a_str_default_and_a_type(self):
+        # _plain_line sets every default as it is; argparse would pass a str
+        # default through the type.
+        for command in _build_parser()[1].values():
+            for action in command._actions:
+                assert not (isinstance(action.default, str) and action.type), action.dest
 
     def test_commands_skip_the_top_level_parser(self, capsys, tmp_path, monkeypatch):
         # The benchmark's three line shapes, a plain query and a config
