@@ -16,11 +16,13 @@ value checks but no argparse parse, and only help, errors and unusual
 spellings go through the top-level parser, which gives the same namespace
 and keeps every message and exit code (see _parse); a text output is
 written through its file descriptor, and `distance` solves its one target
-on float64 scalars with no array machinery (see heisgeo.distances).  Every fixed-shape record (a geodesic
-sample, a connecting geodesic) is one format string filled with its
-values, with the bytes of format_float or of json.dumps with sorted keys.
-"--" has one reading on every supported Python, 3.13's: "--opt=--" gives
-the option the value "--", as does a positional after the first "--".
+on float64 scalars with no array machinery (see heisgeo.distances).  Every
+fixed-shape record (a geodesic sample, a connecting geodesic) is one format
+string filled with its values, with the bytes of format_float or of
+json.dumps with sorted keys.
+"--" has Python 3.13's reading on every supported Python, held by the
+parser class _Parser: "--opt=--" gives the option the value "--", as does
+a positional after the first "--".
 """
 
 from __future__ import annotations
@@ -98,10 +100,36 @@ def _parse_point(text: str) -> HeisPoint:
         raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads dash-led values and "--" alike on every
+    supported Python.
+
+    A dash-led number (-1,2,3, -.5,0,0, -1e3) is a value, not an option,
+    before the command too.  A one-value action given the lone argument
+    "--" ("--opt=--", or a positional after the first "--") takes the text
+    "--" through its type and choices checks as argparse consumes it, as
+    Python 3.13 does, so a refused value exits 2 even when a later spelling
+    would override it; Python 3.10-3.12 (and 3.13.0, for the positional)
+    store an empty list there, unchecked.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers; built once, never changed."""
-    parser = argparse.ArgumentParser(
+    """The top-level parser and its subcommand parsers (every one a _Parser);
+    built once, never changed."""
+    parser = _Parser(
         prog="heisgeo",
         description="Geodesics, distances and figure meshes of the Heisenberg group "
         "with its left-invariant metric.",
@@ -168,19 +196,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         command.add_argument(
             "--config", default="", help="JSON file with defaults for these options"
         )
-        # Python 3.13's pattern: -1,2,3 and -.5,0,0 are values, not options.
-        command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser, sub.choices
-
-
-def _store(
-    command: argparse.ArgumentParser, args: argparse.Namespace, action: argparse.Action, text: str
-) -> None:
-    """Set the action's value from text after the parser's own type and
-    choices checks; argparse.ArgumentError, and nothing set, if one refuses."""
-    value = command._get_value(action, text)
-    command._check_value(action, value)
-    setattr(args, action.dest, value)
 
 
 def _plain_line(
@@ -193,11 +209,12 @@ def _plain_line(
     - exact long options that store one value or a switch, a value as the
       next token (not starting with "-", unless it is "-") or after the
       option's first "=" (not empty);
-    - at most one "--", followed by exactly the positionals still to come;
+    - a "--", followed by exactly the positionals still to come;
     - exactly as many positionals as the command has.
-    Each value takes its action's type and choices checks as it is read, so
-    a refused value raises argparse.ArgumentError even when a later repeat
-    would override it, as argparse refuses it.  Defaults follow argparse:
+    Each value is read by the parser's own _get_values, with its type and
+    choices checks and its reading of "--", so a refused value raises
+    argparse.ArgumentError even when a later repeat would override it, as
+    argparse refuses it.  Defaults follow argparse:
     SUPPRESS is skipped and no default is type- or choice-checked (argparse
     would pass a str default through the type, but no option has both).
     Any other line gives None.
@@ -217,15 +234,16 @@ def _plain_line(
         i += 1
         if token == "--":
             tail = tokens[i:]
-            if not tail or len(tail) != len(positionals) - read or "--" in tail:
+            if not tail or len(tail) != len(positionals) - read:
                 return None
             for action, text in zip(positionals[read:], tail):
-                _store(command, args, action, text)
+                setattr(args, action.dest, command._get_values(action, [text]))
             return args
         if token[:1] != "-":
             if read == len(positionals):
                 return None
-            _store(command, args, positionals[read], token)
+            action = positionals[read]
+            setattr(args, action.dest, command._get_values(action, [token]))
             read += 1
             continue
         flag, eq, text = token.partition("=")
@@ -244,7 +262,7 @@ def _plain_line(
                 return None
         elif not text:
             return None
-        _store(command, args, action, text)
+        setattr(args, action.dest, command._get_values(action, [text]))
     return args if read == len(positionals) else None
 
 
@@ -258,13 +276,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser: help, --version, no or an unknown command, abbreviated options,
     dash-led values, "--" anywhere else, and every line a type or choices
     check refuses.  Every message and exit code is therefore the top-level
-    parser's.
-
-    Both routes read "--" as Python 3.13 does: as the value of "--opt=--",
-    and as a positional after the first "--".  Python 3.10-3.12 store an
-    empty list there, past the type and choices checks; such a value is
-    stored again from the text "--", through those checks, so a refusal
-    exits 2 with the command's usage and argparse's message.
+    parser's.  Both routes read "--" as Python 3.13 does, through _Parser.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
@@ -275,15 +287,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if args is not None:
         args.command = argv[0]
         return args
-    args = parser.parse_args(argv)
-    command = commands[args.command]
-    for action in command._actions:
-        if action.nargs is None and getattr(args, action.dest, None) == []:
-            try:
-                _store(command, args, action, "--")
-            except argparse.ArgumentError as exc:
-                command.error(str(exc))
-    return args
+    return parser.parse_args(argv)
 
 
 def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> list[str]:
