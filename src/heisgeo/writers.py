@@ -14,31 +14,37 @@ last field of a row), deletes the NUL filler, which never occurs in a text,
 and writes the bytes as they are.
 
 Face tables format each vertex index once (`0..n-1`, or `1..n` for OBJ)
-and use the faces as the index.  Float tables format each distinct double
-once: the table is viewed as int64 bit patterns, sorted once, and each
-field's index is the rank of its pattern.  The key is the bit pattern, not
-the value: 0.0 and -0.0 are equal but print `0` and `-0`, and nan is not
-equal to itself, whereas equal bit patterns always print the same text.
+and use the faces as the index.  Float tables format each distinct
+magnitude once: the table is viewed as int64 bit patterns, the sign bit is
+masked off, the magnitudes are sorted once, and each field's index is the
+rank of its magnitude.  A float text leaves its column 0 free for the sign,
+which `_write_rows` writes per field, `-` or NUL, from the `negative` mask:
+the sign bit set and not nan.  So `v` and `-v`, 0.0 and -0.0, and inf and
+-inf share one text, and -0.0 prints `-0` as `%.17g` does; nan prints `nan`
+whatever its sign bit, so a nan field never takes a `-`.  The key is the
+magnitude's bit pattern, not its value: nan is not equal to itself,
+whereas equal bit patterns always print the same text.
 
-Doubles with `1e-4 <= |v| < 1e17` are formatted in numpy (`_fixed17`), and
-exactly.  `%.17g` prints them in fixed notation, with `X = floor(log10|v|)`
-in -4 .. 16, from the 17 digits of `D = round(|v| 10^(16-X))`, ties to
-even.  `10^(16-X)` is an exact double for these X, so Dekker's two-product
-gives `|v| 10^(16-X)` exactly as `p + e`.  X starts from numpy's `log10`
-and moves by one where the exact `p + e` lies outside `[1e16, 1e17)`.  Then
+Magnitudes `1e-4 <= v < 1e17` are formatted in numpy (`_fixed17`), and
+exactly.  `%.17g` prints them in fixed notation, with `X = floor(log10 v)`
+in -4 .. 16, from the 17 digits of `D = round(v 10^(16-X))`, ties to even.
+`10^(16-X)` is an exact double for these X, so Dekker's two-product gives
+`v 10^(16-X)` exactly as `p + e`.  X starts from numpy's `log10` and moves
+by one where the exact `p + e` lies outside `[1e16, 1e17)`.  Then
 `p >= 1e16 > 2^53` is an even integer and `D = p + rint(e)`.  D never
 reaches `10^17`: the double below `10^(X+1)` lies at least `2^-54 10^(X+1)`
 below it.  The digits are laid out as `%g` does: `ddd.ddd` or `0.000ddd`,
 trailing fraction zeros stripped and no `.` without a fraction digit.
 Four digits at a time are one gather from `_WORDS`, the texts "0000" ..
 "9999" stored as explicit little-endian 32-bit words, so a word's bytes are
-its text in reading order on any host.  The `0.` and `0.000` prefixes are
-arithmetic, `((X < 0) & (row <= -X)) * byte`.  In bit-pattern order the
-fast doubles form at most two runs, the negatives and then the positives,
-so each block of `_BLOCK` texts is written into the table by slice.
-Python's formatter takes every other double (±0, `|v| < 1e-4`, subnormals,
-`|v| >= 1e17`, inf and nan) and every table of fewer than `_NUMPY_MIN`
-distinct doubles or indices.
+its text in reading order on any host.  In magnitude order these doubles
+are one run, written into the table block by block of `_BLOCK` texts, and
+within a block X never decreases: each run of one X is laid out by slice
+copies of the digit rows, after the `0.` and `0.000` prefixes for X < 0 or
+around the point for X >= 0.  Python's formatter takes the magnitudes at
+the two ends of the order (0, `v < 1e-4`, subnormals, `v >= 1e17`, inf and
+nan) and every table of fewer than `_NUMPY_MIN` distinct magnitudes or
+indices.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ __all__ = [
     "write_ply",
 ]
 
-# Below this many distinct doubles, or indices, a table is formatted by
+# Below this many distinct magnitudes, or indices, a table is formatted by
 # Python's '%.17g' ('%d').  The numpy route costs a fixed ~200 us per table
 # of doubles and ~20 us per table of indices, and saves ~0.5 us per double
 # and ~0.25 us per index: break-even near 350 doubles and 100 indices on a
@@ -62,7 +68,8 @@ _NUMPY_MIN = 256
 # Values formatted, and fields gathered, per numpy call: small enough that the
 # temporaries stay in cache and are reused from the heap, not mapped afresh.
 _BLOCK = 4096
-# The longest '%.17g' text: -2.2250738585072014e-308.
+# The sign column, then the longest '%.17g' text of a magnitude:
+# 2.2250738585072014e-308.
 _WIDTH = 24
 # NUL bytes after each text: its separator and room for a row prefix of up
 # to two bytes, filled in by `_write_rows`.
@@ -75,10 +82,12 @@ _SCALE = np.concatenate(([1.0], np.cumprod(np.full(21, 10.0))))
 _WORDS = np.ascontiguousarray(
     np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
 ).view("<u4").ravel()
-_ROW = np.arange(18)[:, None]
 _PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]  # 1-based digit positions
-# The prefix `0.000` by row; X < 0 keeps its first -X + 1 rows.
+# The prefix `0.000` by row; X < 0 takes its first 1 - X rows.
 _PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+# As int64 bit patterns the doubles printed with a `-` are -0.0 (-2^63) up
+# to -inf, this one; a nan with the sign bit set lies above them.
+_NEGATIVE_INF = np.float64(-np.inf).view(np.int64)
 
 
 def format_float(value: float) -> str:
@@ -115,17 +124,16 @@ def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fixed17(values: np.ndarray) -> np.ndarray:
-    """`'%.17g'` texts of doubles with `1e-4 <= |v| < 1e17`, as `(_WIDTH, k)` uint8.
+    """`'%.17g'` texts of sorted doubles `1e-4 <= v < 1e17`, as `(_WIDTH - 1, k)` uint8.
 
     The table is built transposed, one row per byte position, so that each
-    numpy call runs over all k values at once.  Rows: the sign, the prefix
-    `0.` and up to three zeros for X < 0, then 18 rows of digits and point.
-    Selections are uint8 arithmetic with boolean masks, which numpy runs
-    much faster than `np.where` on bytes.
+    numpy call runs over all k values at once.  The values ascend, so the
+    exponent X never decreases: each run of one X is laid out by slice
+    copies of the digit rows, after the prefix `0.` and -X - 1 zeros for
+    X < 0, or with the point after row X for X >= 0.
     """
-    a = np.abs(values)
-    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    p, e = _two_prod(a, _SCALE[16 - x])
+    x = np.clip(np.floor(np.log10(values)), -4, 16).astype(np.int64)
+    p, e = _two_prod(values, _SCALE[16 - x])
     # log10 may round across a power of ten: move X by one where the exact
     # product p + e lies outside [1e16, 1e17), and scale again.
     up = (p > 1e17) | ((p == 1e17) & (e >= 0))
@@ -133,66 +141,81 @@ def _fixed17(values: np.ndarray) -> np.ndarray:
     if up.any() or down.any():
         x += up
         x -= down
-        p, e = _two_prod(a, _SCALE[16 - x])
+        p, e = _two_prod(values, _SCALE[16 - x])
     d = p.astype(np.int64) + np.rint(e).astype(np.int64)
 
-    # padded[1:18] are the 17 digits, NUL past the significant length: the
-    # digits up to the last nonzero one, and at least the integer digits.
+    # The 17 digits, NUL past the significant length: the digits up to the
+    # last nonzero one, and at least the integer digits.
     digits = _digits(d, 17)
     length = np.maximum(((digits != 48) * _PLACE).max(axis=0), x + 1)
-    padded = np.zeros((19, len(a)), dtype=np.uint8)
-    np.multiply(digits, _ROW[:17] < length, out=padded[1:18])
-
-    texts = np.empty((_WIDTH, len(a)), dtype=np.uint8)
-    texts[0] = (values < 0) * np.uint8(45)
-    texts[1:6] = ((x < 0) & (_ROW[:5] <= -x)) * _PREFIX
-    # For X >= 0: the digits up to X, then the point if a fraction digit is
-    # left, then the fraction digits.  For X < 0 (`point` = -2) the 17
-    # digits follow the prefix.
-    point = np.where(x >= 0, x, -2)
-    body = padded[:18] + (padded[1:] - padded[:18]) * (_ROW <= point)
+    digits *= _PLACE <= length
     dot = (length > x + 1) * np.uint8(46)
-    texts[6:] = body + (dot - body) * (_ROW == point + 1)
+
+    texts = np.zeros((_WIDTH - 1, len(values)), dtype=np.uint8)
+    runs = np.searchsorted(x, np.arange(-4, 18)).tolist()
+    for exponent, start, stop in zip(range(-4, 17), runs, runs[1:]):
+        if start == stop:
+            continue
+        run = slice(start, stop)
+        if exponent < 0:
+            texts[: 1 - exponent, run] = _PREFIX[: 1 - exponent]
+            texts[1 - exponent : 18 - exponent, run] = digits[:, run]
+        else:
+            texts[: exponent + 1, run] = digits[: exponent + 1, run]
+            texts[exponent + 1, run] = dot[run]
+            texts[exponent + 2 : 18, run] = digits[exponent + 1 :, run]
     return texts
 
 
-def _python_texts(values, spec: str, width: int) -> np.ndarray:
-    """Texts `'%{spec}' % v` by Python's formatter, as `(k, width + _SLOT)` uint8.
+def _python_texts(values, spec: str, width: int, lead: str = "") -> np.ndarray:
+    """Texts `lead + '%{spec}' % v` by Python's formatter, as
+    `(k, len(lead) + width + _SLOT)` uint8.
 
     Each text is left-justified by the format itself; the spaces are then
     turned into NUL filler.
     """
     width += _SLOT
-    data = (f"%-{width}{spec}" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(values), width)
+    data = (f"{lead}%-{width}{spec}" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(values), len(lead) + width)
 
 
-def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`(texts, index)` of a float64 table: one text per distinct bit pattern."""
+def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`(texts, index, negative)` of a float64 table: one text per distinct magnitude.
+
+    `negative` marks the fields whose `'%.17g'` text starts with `-`: the
+    sign bit set and not nan.
+    """
     bits = table.view(np.int64).ravel()
-    order = bits.argsort()
-    ordered = np.take(bits, order)
+    magnitude = bits & np.int64(2**63 - 1)
+    order = magnitude.argsort()
+    ordered = np.take(magnitude, order)
     first = np.empty(bits.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # Each field's index is the rank of its magnitude, counted in the buffer
+    # of `magnitude`: one table-sized array fewer to map and fault in.
+    rank = np.cumsum(first, out=magnitude)
+    rank -= 1
     index = np.empty(bits.size, dtype=np.intp)
-    index[order] = first.cumsum() - 1
-    index = index.reshape(table.shape)
+    index[order] = rank
+    negative = (bits <= _NEGATIVE_INF).reshape(table.shape)
     distinct = np.compress(first, ordered).view(np.float64)
+    index = index.reshape(table.shape)
+    # Column 0 of each text is its sign column, NUL here.
     if len(distinct) < _NUMPY_MIN:
-        return _python_texts(distinct.tolist(), ".17g", _WIDTH), index
-    a = np.abs(distinct)
-    fast = (a >= 1e-4) & (a < 1e17)
-    texts = np.zeros((len(distinct), _WIDTH + _SLOT), dtype=np.uint8)
-    texts[~fast] = _python_texts(distinct[~fast].tolist(), ".17g", _WIDTH)
-    # In bit-pattern order the fast doubles form at most two runs, the
-    # negatives and the positives; each block of a run is placed by slice.
-    runs = np.flatnonzero(np.diff(fast, prepend=False, append=False)).reshape(-1, 2)
-    for start, stop in runs.tolist():
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            texts[lo:hi, :_WIDTH] = _fixed17(distinct[lo:hi]).T
-    return texts, index
+        return _python_texts(distinct.tolist(), ".17g", _WIDTH - 1, "\0"), index, negative
+    texts = np.empty((len(distinct), _WIDTH + _SLOT), dtype=np.uint8)
+    texts[:, 0] = 0
+    texts[:, _WIDTH:] = 0
+    # In magnitude order the doubles for Python's formatter are the two
+    # ends, and the fast ones one run between them, placed block by block.
+    lo, hi = np.searchsorted(distinct, (1e-4, 1e17)).tolist()
+    for part in (slice(0, lo), slice(hi, None)):
+        texts[part] = _python_texts(distinct[part].tolist(), ".17g", _WIDTH - 1, "\0")
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        texts[start:stop, 1:_WIDTH] = _fixed17(distinct[start:stop]).T
+    return texts, index, negative
 
 
 def _index_texts(start: int, n: int) -> np.ndarray:
@@ -209,21 +232,27 @@ def _index_texts(start: int, n: int) -> np.ndarray:
     return texts
 
 
-def _write_rows(handle, prefix: bytes, texts: np.ndarray, index: np.ndarray) -> None:
+def _write_rows(handle, prefix: bytes, texts: np.ndarray, index: np.ndarray,
+                negative: np.ndarray | None = None) -> None:
     """Write the rows `prefix f0 f1 ... fn\n` with fields `texts[index]`.
 
     Each text's slot takes its separator: `' '`, or `'\n'` and the next row's
-    prefix after the last field of a row.  The first row's prefix is written
-    before the rows and the last row's cut off after them.
+    prefix after the last field of a row.  Where `negative` is given, column
+    0 of each field takes its sign, `-` or NUL.  The first row's prefix is
+    written before the rows and the last row's cut off after them.
     """
     if not len(index):
         return
     separator = texts.shape[1] - _SLOT
     end = np.frombuffer(b"\n" + prefix, dtype=np.uint8)
+    if negative is not None:
+        signs = negative * np.uint8(45)
     step = max(_BLOCK // index.shape[1], 1)
     handle.write(prefix)
     for start in range(0, len(index), step):
         fields = np.take(texts, index[start : start + step], axis=0)
+        if negative is not None:
+            fields[:, :, 0] = signs[start : start + step]
         fields[:, :-1, separator] = 32
         fields[:, -1, separator : separator + len(end)] = end
         body = fields.tobytes().translate(None, b"\0")

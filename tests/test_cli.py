@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -1056,27 +1057,36 @@ _PARSE_CASES = [
 ]
 
 
-def _top_level(argv):
-    """The top-level parser's namespace, with Python 3.13's reading of "--".
+class _Reference(cli._Parser):
+    """The reference's own reading of "--": argparse's `_get_values`, and
+    where it gives Python 3.10-3.12's empty list for a one-value action
+    ("--opt=--", or a positional after the first "--"), the text "--"
+    through the action's type and choices checks, as Python 3.13 reads it.
 
-    Python 3.10-3.12 store an empty list for a one-value action given
-    "--opt=--", or a positional after the first "--"; 3.13 passes the text
-    "--" through the action's type and choices checks.  The parser class
-    already reads "--" so, and this pass then finds nothing to change; it
-    is here so that a fault in that class shows as a difference.
+    The value is read as argparse consumes it, so a later spelling of the
+    option does not hide a refused "--".  Only cli._Parser's dash-led-number
+    pattern is shared.
     """
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    command = commands[args.command]
-    for action in command._actions:
-        if action.nargs is None and getattr(args, action.dest, None) == []:
-            try:
-                value = command._get_value(action, "--")
-                command._check_value(action, value)
-            except argparse.ArgumentError as exc:
-                command.error(str(exc))
-            setattr(args, action.dest, value)
-    return args
+
+    def _get_values(self, action, arg_strings):
+        value = argparse.ArgumentParser._get_values(self, action, arg_strings)
+        if action.nargs is None and isinstance(value, list) and not value:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+        return value
+
+
+@functools.cache
+def _reference_parser():
+    """cli's parser tree built with `_Reference` as every parser's class."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_Parser", _Reference)
+        return cli._build_parser.__wrapped__()[0]
+
+
+def _top_level(argv):
+    """The reference parse: the top-level parser of the `_Reference` tree."""
+    return _reference_parser().parse_args(argv)
 
 
 def _parse_outcome(parse, argv, capsys):

@@ -1,16 +1,19 @@
 """Mesh files and edges against the value-by-value reference forms.
 
-The writers format each distinct double of a float table once and gather
-the rows from a byte table of those texts; the references below are the
-per-value loops, and must give the same bytes.  The tables include 0.0
-beside -0.0, several nan payloads, subnormals and infinities, which a dedup
-by value instead of by bit pattern would print wrongly.  The numpy
-formatter is checked against `'%.17g'` on its own, and the figures against
+The writers format each distinct magnitude of a float table once, write
+each field's sign on its own, and gather the rows from a byte table of
+those texts; the references below are the per-value loops, and must give
+the same bytes.  The tables include 0.0 beside -0.0, several nan payloads
+(one with the sign bit set), subnormals and infinities, which a dedup by
+value instead of by magnitude bits, or a sign taken from the bit alone,
+would print wrongly.  The numpy formatter is checked against `'%.17g'`
+through the written rows on its own, and the figures against
 the SHA-256 pins of the benchmark.  `TriMesh.edges()` keys each edge as one
 integer; the reference is the row-wise `np.unique(axis=0)`.
 """
 
 import hashlib
+import io
 import json
 import math
 import random
@@ -201,11 +204,14 @@ def test_percent_format_equals_format_float():
 
 
 def _texts(values):
-    """The writers' text of each value, with the numpy formatter on for any table size."""
+    """The writers' text of each value, sign column included, one value per
+    written line, with the numpy formatter on for any table size."""
+    handle = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(writers, "_NUMPY_MIN", 0)
-        texts, index = writers._float_texts(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-    return [bytes(texts[i]).replace(b"\0", b"").decode() for i in index.ravel()]
+        table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+        writers._write_rows(handle, b"", *writers._float_texts(table))
+    return handle.getvalue().decode().splitlines()
 
 
 def _patterns(bits):
@@ -287,22 +293,40 @@ def test_word_table_holds_the_quads_in_reading_order():
     assert writers._WORDS.tobytes() == "".join(f"{c:04d}" for c in range(10_000)).encode()
 
 
-def test_texts_of_a_table_with_two_long_fast_runs():
-    # In bit-pattern order the fast doubles are two runs, the negatives then
-    # the positives, each longer than two blocks and cut by block edges
-    # inside it; the other doubles lie before, between and after them.
+def test_texts_of_a_table_with_one_long_fast_run():
+    # In magnitude order the fast doubles are one run, longer than two blocks
+    # and cut by block edges inside it, each magnitude with both signs; the
+    # magnitudes for Python's formatter lie at both ends of it.
     rng = np.random.default_rng(26)
-    n_neg, n_pos = 2 * writers._BLOCK + 123, 2 * writers._BLOCK + 777
-    fast = 10.0 ** rng.uniform(-4, 17, n_neg + n_pos)
-    fast[:n_neg] *= -1
-    others = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e17, -1e17,
-              math.inf, -math.inf, math.nan]
-    values = np.concatenate([fast, others])
+    n = 2 * writers._BLOCK + 777
+    fast = 10.0 ** rng.uniform(-4, 17, n)
+    others = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e17, 1.5e300, math.inf, math.nan]
+    values = np.concatenate([fast, -fast, others, np.negative(others)])
     rng.shuffle(values)
-    a = np.abs(np.unique(values.view(np.int64)).view(np.float64))
-    runs = np.diff(np.flatnonzero(np.diff((a >= 1e-4) & (a < 1e17), prepend=False, append=False)))
-    assert runs[::2].tolist() == [n_neg, n_pos]
+    a = np.unique(np.abs(values))
+    fast_run = (a >= 1e-4) & (a < 1e17)
+    assert np.flatnonzero(fast_run).tolist() == list(range(4, 4 + n))
+    assert not fast_run[:4].any() and not fast_run[4 + n :].any()
     assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("numpy_min", [0, 256])
+def test_signs_share_one_text(numpy_min, tmp_path, monkeypatch):
+    # v and -v index one text row, and the sign column gives each field its
+    # '-': 0.0 and -0.0, inf and -inf, subnormals; a nan with the sign bit
+    # set prints "nan", as '%.17g' does.
+    monkeypatch.setattr(writers, "_NUMPY_MIN", numpy_min)
+    values = np.array([1.5, -1.5, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324])
+    texts, index, negative = writers._float_texts(values.reshape(-1, 2))
+    assert len(texts) == 4
+    assert (index[:, 0] == index[:, 1]).all()
+    assert negative.tolist() == [[False, True]] * 4
+    channel = np.concatenate([values, NANS, _patterns([-1]), [2.5e-310, -2.5e-310]])
+    mesh = TriMesh(vertices=np.zeros((len(channel), 3)), faces=np.zeros((0, 3)),
+                   vertex_scalars={"s": channel})
+    write_ply(mesh, tmp_path / "s.ply")
+    rows = (tmp_path / "s.ply").read_text().split("end_header\n")[1].splitlines()
+    assert [row.split()[3] for row in rows] == ["%.17g" % v for v in channel.tolist()]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
