@@ -435,7 +435,9 @@ def _cmd_figures(args) -> int:
     table = _figure_table(args.nphi, args.ngamma)
     # The close-ups are built before anything is written: they refuse a grid
     # with no contact, and their detection grid checks --nphi and --ngamma.
-    # Every other figure is written as soon as it is built.
+    # They are written first, each dropped once written; then every other
+    # figure is built, written and dropped before the next is built.  The
+    # manifest's keys are sorted, so the order leaves its bytes alone.
     meshes = {
         key: _FIGURE_BUILDERS[kind](params)
         for key, (_, kind, params) in table.items()
@@ -444,10 +446,12 @@ def _cmd_figures(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     figures = {}
-    for key, (stem, kind, params) in table.items():
+    for key in [*meshes, *(k for k in table if k not in meshes)]:
+        stem, kind, params = table[key]
         name = f"{stem}.{args.format}"
         mesh = meshes.pop(key) if key in meshes else _FIGURE_BUILDERS[kind](params)
         _write_mesh(mesh, out_dir / name, args.format)
+        del mesh
         figures[key] = {"file": name, "kind": kind, **params}
     manifest = {"format": args.format, "figures": figures}
     _write_lines([json.dumps(manifest, sort_keys=True, indent=2)], out_dir / "manifest.json")
@@ -546,8 +550,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"heisgeo: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        # Every command builds its output before its first write, so a grid
-        # too large for memory leaves no file behind.
+        # Every command builds its output before its first write (figures:
+        # its close-ups, whose detection spheres take the grid given), and
+        # the writers remove a regular mesh file that runs out of memory
+        # while it is formatted, so a grid too large for memory leaves no
+        # partial file behind.
         print(f"heisgeo: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -34,14 +34,21 @@ of the norm over the mesh's face edges.  Pairs adjacent in the parameter
 grid are dropped before any coordinate is gathered, and so are pairs
 whose separation is comparable to their distance from the nearest pole (the
 mesh legitimately closes up there, which would read as contact near poles).
-`_contacts` keeps the events as arrays in the order of one lexsort, by
-planar distance of the midpoint from the z-axis first; only
-`sphere_proximity_events` turns them into objects.  The close-up needs only
-the first event, so it searches the vertices within 8 thresholds of the
-axis first.  That is exact: an event's vertices lie within planar_mid +
-threshold / 2 of the axis, so if the first near event has planar_mid +
-threshold <= 8 thresholds, every event that sorts before it was searched.
-Otherwise the whole sphere is searched.
+`_hits` finds the events as unordered arrays; `_ordered` puts them in the
+order of one lexsort, by planar distance of the midpoint from the z-axis
+(math.hypot) first, and only `sphere_proximity_events` turns them into
+objects.  The close-up needs only the first event, so it searches the
+vertices within 8 thresholds of the axis first.  That is exact: an event's
+vertices lie within planar_mid + threshold / 2 of the axis, so if the first
+near event has planar_mid + threshold <= 8 thresholds, every event that
+sorts before it was searched.  Otherwise the whole sphere is searched.
+Nor does it order every event it finds (`_first_event`): np.hypot gives
+each midpoint's distance in one call, and only the hits within a relative
+2^-44 of the smallest are ordered, by math.hypot and the same lexsort.  That
+is exact too: np.hypot and math.hypot each lie within an ulp of the true
+distance, so the event math.hypot puts first, and any tied with it, has an
+np.hypot distance at most 4 ulps (2^-50 relative) above the smallest; a
+subnormal distance gets 2^-1060 of absolute slack.
 """
 
 from __future__ import annotations
@@ -452,34 +459,36 @@ def _detection_sphere(grid: SphereGrid) -> tuple[np.ndarray, float]:
     planes = _revolved_grid(np.linspace(-1.0, 1.0, grid.n_gamma), grid.n_phi, grid.radius)[0]
     _require_finite(*planes)
     n_rings = grid.n_gamma - 2
-    # Per plane, rows of n_phi edges: the rings, the meridians, the
-    # diagonals and the two pole fans.
-    d = np.empty((3, 3 * n_rings, grid.n_phi))
-    for c, e in zip(planes, d):
+    # Rows of n_phi edges: the rings, the meridians, the diagonals and the
+    # two pole fans.  Each plane's differences go to e and are squared and
+    # summed into lengths, one plane at a time: ((0 + dx*dx) + dy*dy) + dz*dz
+    # has the bits of (dx*dx + dy*dy) + dz*dz.  The root and the median's
+    # partition work in place, so these are the only two arrays of the
+    # edges' size.
+    lengths = np.zeros((3 * n_rings, grid.n_phi))
+    e = np.empty_like(lengths)
+    ring, meridian, diagonal, fan = np.split(e, [n_rings, 2 * n_rings - 1, 3 * n_rings - 2])
+    for c in planes:
         rings, lo, hi = c[1:-1], c[1:-2], c[2:-1]
-        ring, meridian, diagonal, fan = np.split(e, [n_rings, 2 * n_rings - 1, 3 * n_rings - 2])
         np.subtract(rings[:, 1:], rings[:, :-1], out=ring[:, :-1])
         np.subtract(rings[:, 0], rings[:, -1], out=ring[:, -1])
         np.subtract(hi, lo, out=meridian)
         np.subtract(hi[:, 1:], lo[:, :-1], out=diagonal[:, :-1])
         np.subtract(hi[:, 0], lo[:, -1], out=diagonal[:, -1])
         np.subtract(rings[[0, -1]], c[[0, -1], :1], out=fan)
-    # Squared, summed and rooted in place, in d[0]; the median partitions
-    # it in place too, so no other array of the edges' size is allocated.
-    np.multiply(d, d, out=d)
-    lengths = np.add(d[0], d[1], out=d[0])
-    np.sqrt(np.add(lengths, d[2], out=lengths), out=lengths)
+        lengths += np.multiply(e, e, out=e)
+    np.sqrt(lengths, out=lengths)
     keep = _kept(planes[0].shape, (True, True))
     vertices = np.stack([c[keep] for c in planes], axis=1)
     return vertices, _PROXIMITY_RATIO * float(np.median(lengths, overwrite_input=True))
 
 
-def _contacts(
+def _hits(
     grid: SphereGrid, xyz: np.ndarray, threshold: float, reach: float = math.inf
 ) -> tuple[np.ndarray, ...]:
     """The events of `sphere_proximity_events` whose two vertices lie within
-    the planar distance reach of the z-axis, as five arrays in event order:
-    vertex_a, vertex_b, separation, gamma_mid and planar_radius_mid.
+    the planar distance reach of the z-axis, in no set order, as six arrays:
+    vertex_a, vertex_b, separation, gamma_mid and the midpoint's x and y.
 
     xyz and threshold are `_detection_sphere(grid)`.  Only the vertices
     within reach are searched for close pairs; the default reach keeps all.
@@ -508,13 +517,34 @@ def _contacts(
 
     a, b = np.compress(hit, pairs, axis=0).T
     ga, gb = np.take(np.linspace(-1.0, 1.0, grid.n_gamma), np.compress(hit, row, axis=0).T)
-    gamma_mid = 0.5 * (ga + gb)
-    mid = 0.5 * (np.compress(hit, va, axis=0) + np.compress(hit, vb, axis=0))
+    mid = 0.5 * (np.compress(hit, va[:, :2], axis=0) + np.compress(hit, vb[:, :2], axis=0))
+    return a, b, np.compress(hit, separation), 0.5 * (ga + gb), *mid.T
+
+
+def _ordered(hits) -> tuple[np.ndarray, ...]:
+    """`_hits` in event order, as five arrays: vertex_a, vertex_b,
+    separation, gamma_mid and planar_radius_mid."""
+    a, b, separation, gamma_mid, x, y = hits
     # math.hypot, not np.hypot: the two may differ by an ulp and reorder ties.
-    planar = np.fromiter(map(math.hypot, *mid[:, :2].T.tolist()), float, len(a))
+    planar = np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(a))
     order = np.lexsort((b, a, -np.abs(gamma_mid), planar))
-    events = (a, b, np.compress(hit, separation), gamma_mid, planar)
-    return tuple(np.take(e, order) for e in events)
+    return tuple(np.take(e, order) for e in (a, b, separation, gamma_mid, planar))
+
+
+def _first_event(hits) -> tuple[float, float] | None:
+    """gamma_mid and planar_radius_mid of the first of the hits in event
+    order, or None if there is none.
+
+    Only the hits whose np.hypot midpoint radius lies within 2^-44 of the
+    smallest (relative) are ordered; see the module docstring.
+    """
+    radius = np.hypot(hits[4], hits[5])
+    if not radius.size:
+        return None
+    least = float(radius.min())
+    few = radius <= least + (least * 2.0**-44 + 2.0**-1060)
+    *_, gamma_mid, planar = _ordered([np.compress(few, h) for h in hits])
+    return float(gamma_mid[0]), float(planar[0])
 
 
 def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
@@ -527,7 +557,7 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     rejects the legitimate closing of rings near the poles.  Events are
     ordered by planar_radius_mid, then -|gamma_mid|, vertex_a, vertex_b.
     """
-    events = _contacts(grid, *_detection_sphere(grid))
+    events = _ordered(_hits(grid, *_detection_sphere(grid)))
     return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in events))]
 
 
@@ -557,14 +587,14 @@ def singular_point_closeup(
     # The near pass's first event is the first of all once planar_mid +
     # threshold <= reach (see the module docstring); otherwise search it all.
     reach = _CLOSEUP_REACH * threshold
-    *_, gamma_mid, planar = _contacts(grid, vertices, threshold, reach)
-    if not (planar.size and planar[0] + threshold <= reach):
-        gamma_mid = _contacts(grid, vertices, threshold)[3]
-    if not gamma_mid.size:
+    first = _first_event(_hits(grid, vertices, threshold, reach))
+    if first is None or not first[1] + threshold <= reach:
+        first = _first_event(_hits(grid, vertices, threshold))
+    if first is None:
         raise NoSingularityError(
             f"no singularity found below radius {radius}; the sphere appears embedded"
         )
-    center = float(gamma_mid[0])
+    center = first[0]
     lo = max(-1.0, center - window)
     hi = min(1.0, center + window)
     return _grid_mesh(*_revolved_grid(np.linspace(lo, hi, n_gamma), n_phi, radius), wrap=True)
@@ -597,7 +627,7 @@ def first_singular_radius(
 
     def has_contact(radius: float) -> bool:
         grid = SphereGrid(detection_grid[0], detection_grid[1], radius)
-        return len(_contacts(grid, *_detection_sphere(grid))[0]) > 0
+        return len(_hits(grid, *_detection_sphere(grid))[0]) > 0
 
     if has_contact(lo):
         raise ValueError(f"lower bracket {lo} already shows self-contact")

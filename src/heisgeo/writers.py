@@ -17,13 +17,16 @@ Face tables format each vertex index once (`0..n-1`, or `1..n` for OBJ)
 and use the faces as the index.  Float tables format each distinct
 magnitude once: the table is viewed as int64 bit patterns, the sign bit is
 masked off, the magnitudes are sorted once, and each field's index is the
-rank of its magnitude.  A float text leaves its column 0 free for the sign,
-which `_write_rows` writes per field, `-` or NUL, from the `negative` mask:
-the sign bit set and not nan.  So `v` and `-v`, 0.0 and -0.0, and inf and
--inf share one text, and -0.0 prints `-0` as `%.17g` does; nan prints `nan`
-whatever its sign bit, so a nan field never takes a `-`.  The key is the
-magnitude's bit pattern, not its value: nan is not equal to itself,
-whereas equal bit patterns always print the same text.
+rank of its magnitude.  A float text leaves its column 0 free for the
+sign, which `_write_rows` writes per field, `-` or NUL, from the `negative`
+mask: the sign bit set and not nan.  So `v` and `-v`, 0.0 and -0.0, and inf
+and -inf share one text, and -0.0 prints `-0` as `%.17g` does; nan prints
+`nan` whatever its sign bit, so a nan field never takes a `-`.  The key is
+the magnitude's bit pattern, not its value: nan is not equal to itself,
+whereas equal bit patterns always print the same text.  The sort's
+table-sized arrays (`_distinct`) are released before the texts are
+allocated, so formatting and `_write_rows` hold only `index`, `negative`,
+the distinct magnitudes and the texts.
 
 Magnitudes `1e-4 <= v < 1e17` are formatted in numpy (`_fixed17`), and
 exactly.  `%.17g` prints them in fixed notation, with `X = floor(log10 v)`
@@ -45,9 +48,17 @@ around the point for X >= 0.  Python's formatter takes the magnitudes at
 the two ends of the order (0, `v < 1e-4`, subnormals, `v >= 1e17`, inf and
 nan) and every table of fewer than `_NUMPY_MIN` distinct magnitudes or
 indices.
+
+A writer checks the mesh, and builds the PLY table, before it opens the
+file.  If formatting runs out of memory after the open, the cut-short file
+is removed when it is a regular file, not a device or a link.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import stat
 
 import numpy as np
 
@@ -179,13 +190,9 @@ def _python_texts(values, spec: str, width: int, lead: str = "") -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(values), len(lead) + width)
 
 
-def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`(texts, index, negative)` of a float64 table: one text per distinct magnitude.
-
-    `negative` marks the fields whose `'%.17g'` text starts with `-`: the
-    sign bit set and not nan.
-    """
-    bits = table.view(np.int64).ravel()
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(distinct, index)` of int64 bit patterns: the distinct magnitudes,
+    ascending, as doubles, and each field's rank among them."""
     magnitude = bits & np.int64(2**63 - 1)
     order = magnitude.argsort()
     ordered = np.take(magnitude, order)
@@ -198,9 +205,19 @@ def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rank -= 1
     index = np.empty(bits.size, dtype=np.intp)
     index[order] = rank
-    negative = (bits <= _NEGATIVE_INF).reshape(table.shape)
-    distinct = np.compress(first, ordered).view(np.float64)
+    return np.compress(first, ordered).view(np.float64), index
+
+
+def _float_texts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`(texts, index, negative)` of a float64 table: one text per distinct magnitude.
+
+    `negative` marks the fields whose `'%.17g'` text starts with `-`: the
+    sign bit set and not nan.
+    """
+    bits = table.view(np.int64).ravel()
+    distinct, index = _distinct(bits)
     index = index.reshape(table.shape)
+    negative = (bits <= _NEGATIVE_INF).reshape(table.shape)
     # Column 0 of each text is its sign column, NUL here.
     if len(distinct) < _NUMPY_MIN:
         return _python_texts(distinct.tolist(), ".17g", _WIDTH - 1, "\0"), index, negative
@@ -261,10 +278,27 @@ def _write_rows(handle, prefix: bytes, texts: np.ndarray, index: np.ndarray,
         handle.write(body)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """`path` opened for writing; on `MemoryError` it is removed if it is
+    the regular file this open truncated, so no cut-short file is left."""
+    with open(path, "wb") as handle:
+        try:
+            yield handle
+        except MemoryError:
+            with contextlib.suppress(OSError):
+                status = os.lstat(path)
+                if stat.S_ISREG(status.st_mode) and os.path.samestat(
+                    status, os.fstat(handle.fileno())
+                ):
+                    os.unlink(path)
+            raise
+
+
 def write_obj(mesh: TriMesh, path) -> None:
     """Wavefront OBJ: `v x y z` lines followed by 1-based `f i j k` lines."""
     mesh.validate()
-    with open(path, "wb") as handle:
+    with _output(path) as handle:
         if not mesh.n_vertices:
             # An empty mesh is written as a single newline, the file of zero lines.
             handle.write(b"\n")
@@ -293,7 +327,7 @@ def write_ply(mesh: TriMesh, path) -> None:
     ]
     columns = [np.asarray(mesh.vertex_scalars[name], dtype=float) for name in scalar_names]
     table = np.column_stack([mesh.vertices, *columns])
-    with open(path, "wb") as handle:
+    with _output(path) as handle:
         handle.write(("\n".join(header) + "\n").encode())
         _write_rows(handle, b"", *_float_texts(table))
         _write_rows(handle, b"3 ", _index_texts(0, mesh.n_vertices), mesh.faces)

@@ -32,10 +32,12 @@ from heisgeo.meshing import (
 )
 from heisgeo.meshing import (
     _close_pairs,
-    _contacts,
     _detection_sphere,
+    _first_event,
     _grid_mesh,
     _grid_topology,
+    _hits,
+    _ordered,
     _revolved_grid,
 )
 from heisgeo.writers import write_obj
@@ -253,7 +255,7 @@ class TestProximityDetector:
         # with both vertices within reach, in the same order.
         grid = SphereGrid(*grid, radius)
         vertices, threshold = _detection_sphere(grid)
-        full = _contacts(grid, vertices, threshold)
+        full = _ordered(_hits(grid, vertices, threshold))
         assert full[0].size
         planar = np.hypot(vertices[:, 0], vertices[:, 1])
         outer = np.maximum(planar[full[0]], planar[full[1]])
@@ -263,7 +265,7 @@ class TestProximityDetector:
         reaches = [0.0, threshold, 8.0 * threshold, *cuts, float(outer.max()), math.inf]
         for reach in reaches:
             within = outer <= reach
-            got = _contacts(grid, vertices, threshold, reach)
+            got = _ordered(_hits(grid, vertices, threshold, reach))
             assert len(got) == len(full)
             for g, f in zip(got, full):
                 assert g.tobytes() == f[within].tobytes(), reach
@@ -409,26 +411,32 @@ class TestCloseup:
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
 
-    @pytest.mark.parametrize("grid", _CLOSEUP_GRIDS, ids=_shape_id)
-    def test_centred_on_the_first_event(self, monkeypatch, grid):
-        # The figures' detection grids and three coarse ones: the patch's
-        # gamma rows are the linspace around the full search's first event's
-        # gamma_mid, bit for bit, and no event means no patch.  Rows reaching
-        # a pole collapse to one vertex.  48x96 at radius 6 has its first
-        # event ~30 thresholds off the axis, so the near pass finds nothing
-        # and the full search supplies it.
+    @pytest.mark.parametrize(
+        "grid, radii",
+        [*(pytest.param(g, _CLOSEUP_RADII, id=_shape_id(g)) for g in _CLOSEUP_GRIDS),
+         pytest.param((128, 256), (20.0, 1e3), id="128x256")],
+    )
+    def test_centred_on_the_first_event(self, monkeypatch, grid, radii):
+        # The figures' detection grids and three coarse ones, and 128x256 at
+        # radius 20 (256 hits within the ulp bound, four math.hypot values
+        # among them) and 1e3 (~430k hits): the patch's gamma rows are the
+        # linspace around the full search's first event's gamma_mid, bit for
+        # bit, and no event means no patch.  Rows reaching a pole collapse to
+        # one vertex.  48x96 at radius 6 has its first event ~30 thresholds
+        # off the axis, so the near pass finds nothing and the full search
+        # supplies it.
         window, n_gamma = 0.08, 48
         searches = []
 
-        def contacts(*args):
+        def hits(*args):
             searches.append("near" if len(args) == 4 else "full")
-            return _contacts(*args)
+            return _hits(*args)
 
-        monkeypatch.setattr(heisgeo.meshing, "_contacts", contacts)
-        for radius in _CLOSEUP_RADII:
+        monkeypatch.setattr(heisgeo.meshing, "_hits", hits)
+        for radius in radii:
             sphere = SphereGrid(*grid, radius)
             vertices, threshold = _detection_sphere(sphere)
-            gamma_mid = _contacts(sphere, vertices, threshold)[3]
+            gamma_mid = _ordered(_hits(sphere, vertices, threshold))[3]
             searches.clear()
             if not gamma_mid.size:
                 with pytest.raises(NoSingularityError):
@@ -456,16 +464,33 @@ class TestCloseup:
         want = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
         found = []
 
-        def contacts(*args):
-            events = _contacts(*args)
+        def hits(*args):
+            events = _hits(*args)
             found.append(len(events[0]))
             return events
 
         monkeypatch.setattr(heisgeo.meshing, "_CLOSEUP_REACH", reach)
-        monkeypatch.setattr(heisgeo.meshing, "_contacts", contacts)
+        monkeypatch.setattr(heisgeo.meshing, "_hits", hits)
         got = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
         assert got == want
         assert found[0] == n_near and len(found) == 2 and found[1] > n_near
+
+    def test_near_tie_ordered_by_math_hypot(self, monkeypatch):
+        # Two hits whose midpoint radii np.hypot and math.hypot order the
+        # other way round, an ulp apart, the first also nearer a pole: the
+        # close-up centres on math.hypot's first, the event that
+        # sphere_proximity_events lists first.
+        x = np.array([0.009489846115750947, 0.005863637597020782])
+        y = np.array([-0.0031532238581119944, 0.00810047863590815])
+        assert np.hypot(x[0], y[0]) < np.hypot(x[1], y[1])
+        assert math.hypot(x[0], y[0]) > math.hypot(x[1], y[1])
+        hits = (np.array([3, 7]), np.array([40, 50]), np.full(2, 1e-3), np.array([0.5, -0.25]),
+                x, y)
+        assert _first_event(hits) == (-0.25, math.hypot(x[1], y[1]))
+        assert _first_event(tuple(h[:0] for h in hits)) is None
+        monkeypatch.setattr(heisgeo.meshing, "_hits", lambda *args: hits)
+        gammas = singular_point_closeup(5.0, 0.08, (8, 5), (48, 96)).vertex_scalars["gamma"]
+        assert np.unique(gammas).tobytes() == np.linspace(-0.25 - 0.08, -0.25 + 0.08, 5).tobytes()
 
     @pytest.mark.parametrize("build", [
         lambda: sphere_proximity_events(SphereGrid(8, 8, 1e103)),
@@ -758,7 +783,7 @@ class TestLoopReference:
             planes = _revolved_grid(gammas, n_phi, radius)[0]
             expected = np.stack([p[where[:, 0], where[:, 1]] for p in planes], axis=1)
             assert vertices.tobytes() == expected.tobytes(), radius
-            a, b, _, gamma_mid, _ = _contacts(sphere, vertices, threshold)
+            a, b, _, gamma_mid, _ = _ordered(_hits(sphere, vertices, threshold))
             (ja, ia), (jb, ib) = where[a].T, where[b].T
             assert gamma_mid.tobytes() == (0.5 * (gammas[ja] + gammas[jb])).tobytes(), radius
             d_col = np.abs(ia - ib)

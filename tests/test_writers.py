@@ -17,6 +17,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,30 @@ def test_texts_of_a_table_with_one_long_fast_run():
     assert np.flatnonzero(fast_run).tolist() == list(range(4, 4 + n))
     assert not fast_run[:4].any() and not fast_run[4 + n :].any()
     assert _texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_sort_arrays_freed_before_formatting(monkeypatch):
+    # When the first `_fixed17` block starts, `_float_texts` holds `index`,
+    # `negative`, the distinct magnitudes and the texts, and 64 KiB of slack
+    # for the rest; the sort's table-sized arrays (1.4 MiB here) are gone.
+    table = np.random.default_rng(34).uniform(1.0, 2.0, (20_000, 3))
+    held = []
+    fixed17 = writers._fixed17
+
+    def first_block(values):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+        return fixed17(values)
+
+    monkeypatch.setattr(writers, "_fixed17", first_block)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        texts, index, negative = writers._float_texts(table)
+    finally:
+        tracemalloc.stop()
+    assert len(texts) == table.size
+    assert held[0] <= index.nbytes + negative.nbytes + 8 * len(texts) + texts.nbytes + 2**16
 
 
 @pytest.mark.parametrize("numpy_min", [0, 256])
