@@ -36,8 +36,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import FRAME_NAMES, HeisPoint, left_quotient, nabla, sectional_curvature
 from .distances import (
@@ -47,14 +45,13 @@ from .distances import (
     riemannian_distance,
     shoot_candidates,
 )
-from .geodesics import TWO_PI, GeodesicSpec, velocity_frame_at
+from .geodesics import TWO_PI, GeodesicSpec, _polyline_columns
 from .meshing import (
     DEFAULT_DETECTION_GRID,
     NoSingularityError,
     SphereGrid,
     ball_cutaway_mesh,
     clip_sphere_to_metric,
-    geodesic_polyline,
     plane_exp_surface,
     singular_point_closeup,
     sphere_exp_mesh,
@@ -351,16 +348,12 @@ def _write_mesh(mesh, out: str, fmt: str) -> None:
 
 def _cmd_geodesic(args) -> int:
     spec = GeodesicSpec.from_direction(args.gamma, args.phi, base=args.base)
-    points = geodesic_polyline(spec, args.smax, args.n)
-    samples = []
-    for s, point in zip(np.linspace(0.0, args.smax, args.n + 1).tolist(), points):
-        vel = velocity_frame_at(spec, s)
-        samples.append((s, point.x, point.y, point.z, vel.a, vel.b, vel.c))
+    s, x, y, z, alpha, beta, gamma = _polyline_columns(spec, args.smax, args.n)
     if args.format == "csv":
         lines = ["s,x,y,z,alpha,beta,gamma"]
-        lines += [_CSV_SAMPLE % sample for sample in samples]
+        lines += [_CSV_SAMPLE % row for row in zip(s, x, y, z, alpha, beta, gamma)]
     else:
-        lines = [_JSONL_SAMPLE % (a, b, c, s, x, y, z) for s, x, y, z, a, b, c in samples]
+        lines = [_JSONL_SAMPLE % row for row in zip(alpha, beta, gamma, s, x, y, z)]
     _write_lines(lines, args.out)
     return EXIT_OK
 

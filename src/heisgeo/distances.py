@@ -37,10 +37,10 @@ solve is a safeguarded Newton-bisection over float64 scalars for one
 target (riemannian_distance, shoot_candidates) and arrays for a batch
 (riemannian_distance_many), through the same functions, so a distance has
 the same bits alone or in a batch.  One target uses no array machinery:
-its stop and chart tests are plain conditions (geodesics._select, _both,
-_either), and only the arithmetic and the transcendental functions stay
-numpy's, whose array loops math's functions do not always match in the
-last bit.  Every result is certified before it is
+its stop and chart tests are plain conditions (geodesics._select, and
+numpy's | and & on bool scalars), and only the arithmetic and the
+transcendental functions stay numpy's, whose array loops math's functions
+do not always match in the last bit.  Every result is certified before it is
 returned: the geodesic's endpoint, rebuilt with origin_coordinates, must
 hit the target to tol * max(1, |target|) plus one rounding unit, and d
 must lie in rho <= d <= rho + min(|z|, sqrt(2 pi |z|)) (the planar
@@ -80,8 +80,6 @@ import numpy as np
 from .core import ORIGIN, HeisPoint, left_quotient
 from .geodesics import (
     GeodesicSpec,
-    _both,
-    _either,
     _select,
     _sin_defect,
     _sinc,
@@ -241,15 +239,13 @@ def _solve_increasing(residual, x, lo, hi, *params):
         lo = _select(value < 0.0, x, lo)
         hi = _select(value > 0.0, x, hi)
         new = x - value / slope
-        newton = _both(new >= lo, new <= hi)
+        newton = (new >= lo) & (new <= hi)
         new = _select(newton, new, 0.5 * (lo + hi))
         root = value == 0.0
-        stop = _either(
-            _either(root, _both(newton, abs(new - x) <= _CUT_STEP_TOL * abs(new))),
-            hi - lo <= 4.0 * _EPS * abs(hi),
-        )
-        x = _select(_either(done, root), x, new)
-        done = _either(done, stop)
+        step = abs(new - x) <= _CUT_STEP_TOL * abs(new)
+        stop = root | (newton & step) | (hi - lo <= 4.0 * _EPS * abs(hi))
+        x = _select(done | root, x, new)
+        done = done | stop
     return x
 
 
@@ -309,8 +305,8 @@ def _cut_time_geodesics(x, y, z):
     # A subnormal planar offset in the far half joins the axis: the far
     # chart's t would be subnormal too and keep few digits, and the
     # offset is below every tolerance.
-    axis = _either(rho == 0.0, _both(rho < _TINY, height > split))
-    near = _both(rho > 0.0, height <= split)
+    axis = (rho == 0.0) | ((rho < _TINY) & (height > split))
+    near = (rho > 0.0) & (height <= split)
     if isinstance(rho, np.ndarray):
         s, gamma, r = (np.full_like(rho, np.nan) for _ in range(3))
         for chart, mask in (
@@ -346,10 +342,8 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
     miss = np.hypot(np.hypot(ex - x, ey - y), ez - z)
     scale = np.maximum(1.0, np.hypot(rho, z))
     upper = _select(shortest, rho + np.minimum(height, np.sqrt(2.0 * math.pi * height)), np.inf)
-    certified = _both(
-        _both(miss + _EPS * scale <= tol * scale, s >= rho * (1.0 - _BOUND_SLACK)),
-        s <= upper * (1.0 + _BOUND_SLACK),
-    )
+    low, high = rho * (1.0 - _BOUND_SLACK), upper * (1.0 + _BOUND_SLACK)
+    certified = (miss + _EPS * scale <= tol * scale) & (low <= s) & (s <= high)
     if not (certified.all() if isinstance(certified, np.ndarray) else certified):
         k = int(np.flatnonzero(np.logical_not(certified))[0])
         x, y, z, s, rho, upper, scale, miss = (

@@ -82,29 +82,13 @@ def _select(condition, a, b):
     """np.where(condition, a, b) on arrays, a plain conditional on one value.
 
     Lets one function body serve a batch (arrays) and a single target
-    (float64 scalars) with the same expressions, hence the same bits.
+    (float64 scalars) with the same expressions, hence the same bits; the
+    conditions themselves combine with numpy's | and &, on arrays or on
+    numpy bool scalars alike.
     """
     if isinstance(condition, np.ndarray):
         return np.where(condition, a, b)
     return a if condition else b
-
-
-def _either(a, b):
-    """a | b on boolean arrays, a plain `or` on two single conditions.
-
-    With _both, lets one loop keep a batch's stop mask and stop a single
-    target without a numpy call (see _select).
-    """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return a | b
-    return bool(a or b)
-
-
-def _both(a, b):
-    """a & b on boolean arrays, a plain `and` on two single conditions."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return a & b
-    return bool(a and b)
 
 
 def _as_float(a):
@@ -236,6 +220,38 @@ def velocity_frame_at(spec: GeodesicSpec, s: float) -> FrameVector:
     """Velocity frame components at arc length s."""
     angle = 2.0 * spec.gamma * s + spec.phi
     return FrameVector(spec.r * math.cos(angle), spec.r * math.sin(angle), spec.gamma)
+
+
+def _polyline_columns(spec: GeodesicSpec, s_max: float, n: int) -> tuple[list[float], ...]:
+    """Columns (s, x, y, z, alpha, beta, gamma) of n + 1 samples uniform in arc length.
+
+    The points are group_mul(spec.base, p) of the closed-form points p, with
+    its arithmetic run on whole columns; the velocity is velocity_frame_at's,
+    with math's cos and sin.  ValueError, HeisPoint's own, names the first
+    sample that is not finite (past s ~ 5.6e102, or where the translation
+    overflows).
+    """
+    if n < 2:
+        raise ValueError("polyline needs n >= 2 segments")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError("polyline needs arc length 0 < smax < inf")
+    s = np.linspace(0.0, s_max, n + 1)
+    x, y, z = origin = origin_coordinates(spec.r, spec.phi, spec.gamma, s)
+    b = spec.base
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = (b.x + x, b.y + y, (b.z + z) + (b.x * y - b.y * x))
+    finite = np.isfinite(point).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        # A closed-form point that is not finite makes its translate so too;
+        # HeisPoint refuses the first of the two that is not.
+        for coords in (origin, point):
+            HeisPoint(*(float(c[k]) for c in coords))
+    s = s.tolist()
+    angles = [2.0 * spec.gamma * t + spec.phi for t in s]
+    alpha = [spec.r * math.cos(angle) for angle in angles]
+    beta = [spec.r * math.sin(angle) for angle in angles]
+    return (s, *(c.tolist() for c in point), alpha, beta, [spec.gamma] * len(s))
 
 
 def geodesic_from_origin(spec: GeodesicSpec, s: float) -> HeisPoint:

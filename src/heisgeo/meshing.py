@@ -59,9 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HeisPoint, group_mul
+from .core import HeisPoint
 from .distances import riemannian_distance_many
-from .geodesics import TWO_PI, GeodesicSpec, origin_coordinates
+from .geodesics import TWO_PI, GeodesicSpec, _polyline_columns, origin_coordinates
 
 __all__ = [
     "MeshError",
@@ -602,13 +602,8 @@ def singular_point_closeup(
 
 def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoint]:
     """n + 1 points sampled uniformly in arc length from the closed form."""
-    if n < 2:
-        raise ValueError("polyline needs n >= 2 segments")
-    if not 0.0 < s_max < math.inf:
-        raise ValueError("polyline needs arc length 0 < smax < inf")
-    s_values = np.linspace(0.0, s_max, n + 1)
-    x, y, z = origin_coordinates(spec.r, spec.phi, spec.gamma, s_values)
-    return [group_mul(spec.base, HeisPoint(*map(float, xyz))) for xyz in zip(x, y, z)]
+    _, x, y, z, *_ = _polyline_columns(spec, s_max, n)
+    return [HeisPoint(*xyz) for xyz in zip(x, y, z)]
 
 
 def first_singular_radius(

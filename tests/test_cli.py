@@ -40,16 +40,31 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+def _reference_samples(spec, smax, n):
+    """(s, x, y, z, alpha, beta, gamma) of each geodesic sample, one sample at
+    a time: the closed-form point translated by core.group_mul, and the
+    velocity of velocity_frame_at.  Independent of the columns routine behind
+    geodesic_polyline and the geodesic command; a sample that is not finite
+    raises HeisPoint's ValueError, the closed-form point checked first."""
+    s_values = np.linspace(0.0, smax, n + 1)
+    x, y, z = geodesics.origin_coordinates(spec.r, spec.phi, spec.gamma, s_values)
+    rows = []
+    for s, xyz in zip(s_values.tolist(), zip(x.tolist(), y.tolist(), z.tolist())):
+        point = core.group_mul(spec.base, core.HeisPoint(*xyz))
+        vel = geodesics.velocity_frame_at(spec, s)
+        rows.append((s, point.x, point.y, point.z, vel.a, vel.b, vel.c))
+    return rows
+
+
 def _assert_geodesic_lines(gamma, phi, smax, n, base):
     """geodesic's CSV and JSONL lines are format_float joins and json.dumps
-    records (sorted keys) of the closed-form samples."""
+    records (sorted keys) of the reference samples, and geodesic_polyline's
+    points are theirs, bit for bit."""
     spec = geodesics.GeodesicSpec.from_direction(gamma, phi, base=cli._parse_point(base))
+    rows = _reference_samples(spec, smax, n)
     points = meshing.geodesic_polyline(spec, smax, n)
+    assert repr([(p.x, p.y, p.z) for p in points]) == repr([row[1:4] for row in rows])
     header = ("s", "x", "y", "z", "alpha", "beta", "gamma")
-    rows = []
-    for s, point in zip(np.linspace(0.0, smax, n + 1), points):
-        vel = geodesics.velocity_frame_at(spec, float(s))
-        rows.append((float(s), point.x, point.y, point.z, vel.a, vel.b, vel.c))
     csv = [",".join(header)] + [",".join(writers.format_float(v) for v in row) for row in rows]
     jsonl = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
     argv = ["geodesic", f"--gamma={gamma!r}", f"--phi={phi!r}", f"--smax={smax!r}",
@@ -129,6 +144,36 @@ class TestGeodesicCommand:
     )
     def test_random_lines_are_the_formatted_samples(self, gamma, phi, smax, n, base):
         _assert_geodesic_lines(gamma, phi, smax, n, ",".join(map(repr, base)))
+
+    def test_long_line_is_the_formatted_samples(self):
+        _assert_geodesic_lines(0.7, 0.3, 50.0, 100_000, "1,-2,3")
+
+    @pytest.mark.parametrize("gamma, smax, n, base", [
+        # The translation overflows: b.x * y is -inf from the third sample on.
+        (0.5, 3.0, 3, (-1.7e308, 0.0, 1.7e308)),
+        # s**3 overflows past s ~ 5.6e102 (ROADMAP item 1(c) would make
+        # these succeed).  On the vertical line it is inf * 0 in z, and the
+        # closed-form point is named: its x is -0.0, its translate's 0.0.
+        (0.5, 1e103, 100, (0.0, 0.0, 0.0)),
+        (0.0, 1e200, 100, (0.0, 0.0, 0.0)),
+        (1.0, 1e300, 100, (0.0, 0.0, 0.0)),
+    ], ids=["base", "cube", "straight_cube", "vertical_cube"])
+    def test_non_finite_sample_refused(self, capsys, tmp_path, gamma, smax, n, base):
+        spec = geodesics.GeodesicSpec.from_direction(gamma, base=core.HeisPoint(*base))
+        with pytest.raises(ValueError, match="overflows or is not finite") as refusal:
+            _reference_samples(spec, smax, n)
+        out = tmp_path / "line.csv"
+        argv = ["geodesic", f"--gamma={gamma!r}", f"--smax={smax!r}", f"--n={n}",
+                f"--base={','.join(map(repr, base))}", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(argv, capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"heisgeo: {refusal.value}\n"
+        if base[0]:
+            # The third sample is named, after the translation.
+            message = "heisgeo: a coordinate overflows or is not finite: "
+            assert stderr.startswith(message + "(-1.7e+308, ") and stderr.endswith(", -inf)\n")
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(["geodesic", "--gamma", "0", "--smax", "1", "--n", "2"], capsys)
