@@ -58,9 +58,17 @@ q = hypot(rho, t), the geodesics in window k are the roots of
 with s = w sqrt(1 + q^2) and |gamma| = 1 / sqrt(1 + q^2).  Window 0 holds
 exactly the cut-time solution.  For k >= 1, G_k' > 0 on t >= 0 and G_k'
 increases on t < 0, so G_k has one minimizer t* < 0 and a root on each
-side of it when G_k(t*) < 0; since G_k > k pi - |z|, windows beyond
-k = floor(|z| / pi) are empty.  All three 1-D solves of a target (t*,
-left and right root) are vectorized over its windows.
+side of it when G_k(t*) < 0.  Since w > k pi in window k, G_k is bounded
+below in closed form by
+
+    B(k) = k pi (1 + rho^2/2) - rho^2 / (8 k pi) - |z|,
+
+which increases with k: only the windows up to the largest k with
+B(k) <= 0 (and k <= |z| / pi) are solved, up to a rounding margin
+(_winding_geodesics).  Where B(1) > 0, that is where
+|z| < pi + (pi/2 - 1/(8 pi)) rho^2, none is, and the list is the cut-time
+geodesic alone, solved and certified on scalars.  All three 1-D solves of
+the other windows (t*, left and right root) are vectorized over them.
 
 brute_force_distance is an independent validation oracle: a dense lattice
 over (gamma, s), each point scored by its endpoint miss at the best planar
@@ -159,6 +167,9 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # Most geodesics shoot_candidates lists (~2 |z| / pi, ~0.8 KiB each in memory).
 _MAX_CANDIDATES = 1_000_000
+# A winding window is dropped only where its lower bound B(k) clears 0 by
+# this many units of k pi (1 + rho^2/2) + |z| (_winding_geodesics).
+_WINDOW_SLACK = 256.0 * _EPS
 
 
 def _near_half(w, rho, z):
@@ -357,15 +368,60 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
     return ez
 
 
-def _winding_geodesics(rho: float, height: float):
-    """(s, |gamma|, r) of the geodesics to (rho, 0, height) in windows k >= 1.
+def _window_count(rho: float, height: float) -> int:
+    """The number of winding windows k >= 1 that _winding_geodesics solves.
+
+    The largest k <= |z| / pi whose lower bound B(k) does not clear 0 by the
+    rounding margin (_winding_geodesics): a root of the quadratic
+    a k^2 - |z| k - rho^2 / (8 pi), margin included, checked at its floor
+    and the next integer against B itself.
+    """
+    rho2 = rho * rho
+    a = math.pi * (1.0 + 0.5 * rho2)
+    if not a < math.inf:
+        return 0
+    c = rho2 / (8.0 * math.pi)
+    low, high = a * (1.0 - _WINDOW_SLACK), height * (1.0 + _WINDOW_SLACK)
+
+    def kept(k):
+        return k * low - c / k <= high
+
+    # c / low <= 1 / (4 pi^2): the root does not overflow where a does not.
+    half = 0.5 * high / low
+    cap = int(height // math.pi)
+    k = min(int(half + math.sqrt(half * half + c / low)), cap)
+    if k < cap and kept(k + 1):
+        return k + 1
+    return k - 1 if k > 0 and not kept(k) else k
+
+
+def _winding_geodesics(rho: float, height: float, windows: int):
+    """(s, |gamma|, r) of the geodesics to (rho, 0, height) in windows 1..windows.
 
     Each G_k is unimodal: its minimizer t* < 0 is the root of G_k', and G_k
     has a root on each side of t* when G_k(t*) < 0, one double root when
-    G_k(t*) is zero to rounding, and none otherwise.  G_k > k pi - |z|, so
-    no window beyond k = floor(|z| / pi) has a root.
+    G_k(t*) is within 4 eps |z| of zero, and none otherwise.  Every entry of
+    the solves is independent of the others, so the windows passed change
+    no bit of the geodesics found in them.
+
+    windows comes from _window_count.  In window k, w > k pi gives
+    G_k(t) > k pi (1 + (rho^2 + t^2)/2) + rho t/2 - |z| >= B(k), with
+    a = pi (1 + rho^2/2) and B(k) = k a - rho^2 / (8 k pi) - |z| the minimum
+    over t.  On the bracket [lo, 0] that holds t*, |w (1 + q^2/2)| <= 4 k a
+    and |rho t / 2| <= k a, so with numpy's functions within 4 ulps the
+    computed G_k(t*) lies within 2^7 eps (k a + |z|) of its exact value at
+    the computed t*, and the computed B(k) within 2^5 eps (k a + |z|) of
+    the exact bound.  A window dropped because B(k) clears 0 by
+    2^8 eps (k a + |z|) (_WINDOW_SLACK) therefore has a computed G_k(t*)
+    above 4 eps |z|: it holds neither a root nor a double root, whether
+    solved or not.  Where a overflows (rho^2 > ~1.1e308), B(1) > 0 at every
+    height shoot_candidates lists (|z| <= pi _MAX_CANDIDATES / 2) and no
+    window is solved.
     """
-    k = np.arange(1, int(height // math.pi) + 1)
+    if not windows:
+        empty = np.empty(0)
+        return empty, empty, empty
+    k = np.arange(1, windows + 1)
     kpi = k * math.pi
     end = (k + 1) * math.pi
     # G_k' < 0 at t = -(1 + 2 rho / (k pi)) and > 0 at t = 0.
@@ -416,12 +472,16 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     """Every geodesic from the origin to target, the shortest first.
 
     The first entry is the cut-time solution (window 0), whose length is the
-    distance; the others follow by non-decreasing arc length.  Each window
-    k >= 1 adds the roots of G_k (module docstring), about 2 |z| / pi
-    geodesics in all.  Next to the axis the cut-time geodesic (w just below
-    pi) and window 1's first root (w just above pi) differ in length by less
-    than the rounding of s, so entry 1 can tie with entry 0 or round one
-    unit below it.
+    distance; the others follow by non-decreasing arc length.  The first is
+    solved and certified on float64 scalars, with the bits of
+    riemannian_distance.  Each window k >= 1 whose lower bound
+    B(k) = k pi (1 + rho^2/2) - rho^2 / (8 k pi) - |z| is not clear of 0
+    adds the roots of G_k (module docstring), at most about 2 |z| / pi
+    geodesics in all, solved and certified as arrays; where B(1) > 0 the
+    list is the first entry alone.  Next to the axis the cut-time geodesic
+    (w just below pi) and window 1's first root (w just above pi) differ in
+    length by less than the rounding of s, so entry 1 can tie with entry 0
+    or round one unit below it.
 
     A target with planar distance rho <= eps d (d the distance) is folded
     onto the axis (axis_family): the axis geodesics hit it to rounding, and
@@ -447,28 +507,20 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s, gamma, r, _ = _cut_time_geodesics(x, y, z)
         axis = bool(rho <= _EPS * s)
+        phi, residual = _listed(x, y, z, rho, s, gamma, r, axis, tol, shortest=True)
+        columns = [[float(a)] for a in (r, phi, gamma, s, residual)]
         if axis:
-            # Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the
-            # cut-time solution), then the vertical line as the limit k pi = |z|.
-            kpi = np.arange(2, math.ceil(height / math.pi)) * math.pi
-            kpi = np.append(kpi[kpi < height], [height] if height > math.pi else [])
-            more_s = np.sqrt(kpi * (2.0 * height - kpi))
-            more = more_s, kpi / more_s, np.sqrt(2.0 * kpi * (height - kpi)) / more_s
+            s, gamma, r = _axis_returns(height)
         else:
-            more = _winding_geodesics(rho, height)
-        s = np.append(s, more[0])
-        gamma = np.append(gamma, math.copysign(1.0, z) * more[1])
-        r = np.append(r, more[2])
-
-        w = gamma * s
-        sinc = _sinc(w)
-        # The chord points along phi + w, reversed where sinc(w) < 0.
-        flip = np.where(sinc < 0.0, math.pi, 0.0)
-        phi = np.zeros(s.size) if axis else math.atan2(y, x) - w + flip
-        ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest=np.arange(s.size) == 0)
-    residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
-
-    order = np.append(0, 1 + np.argsort(s[1:], kind="stable"))
+            s, gamma, r = _winding_geodesics(rho, height, _window_count(rho, height))
+        if s.size:
+            gamma = math.copysign(1.0, z) * gamma
+            phi, residual = _listed(x, y, z, rho, s, gamma, r, axis, tol, shortest=False)
+            order = np.argsort(s, kind="stable")
+            columns = [
+                column + np.take(a, order).tolist()
+                for column, a in zip(columns, (r, phi, gamma, s, residual))
+            ]
     return [
         ShootingSolution(
             spec=GeodesicSpec(base=ORIGIN, r=r_i, phi=phi_i, gamma=gamma_i),
@@ -476,10 +528,40 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
             residual=residual_i,
             axis_family=axis,
         )
-        for r_i, phi_i, gamma_i, s_i, residual_i in zip(
-            *(np.take(a, order).tolist() for a in (r, phi, gamma, s, residual))
-        )
+        for r_i, phi_i, gamma_i, s_i, residual_i in zip(*columns)
     ]
+
+
+def _axis_returns(height):
+    """(s, |gamma|, r) of the axis circles past the cut-time one.
+
+    Returns to the axis at w = k pi < |z| for k >= 2 (k = 1 is the cut-time
+    solution), then the vertical line as the limit k pi = |z|; none at or
+    below the conjugate height pi.
+    """
+    if not height > math.pi:
+        empty = np.empty(0)
+        return empty, empty, empty
+    kpi = np.arange(2, math.ceil(height / math.pi)) * math.pi
+    kpi = np.append(kpi[kpi < height], [height])
+    s = np.sqrt(kpi * (2.0 * height - kpi))
+    return s, kpi / s, np.sqrt(2.0 * kpi * (height - kpi)) / s
+
+
+def _listed(x, y, z, rho, s, gamma, r, axis: bool, tol: float, shortest: bool):
+    """(phi, residual) of geodesics to (x, y, z), certified by _certify.
+
+    Arrays for the winding geodesics, float64 scalars for the cut-time one,
+    through the same expressions and so with the same bits.
+    """
+    w = gamma * s
+    sinc = _sinc(w)
+    # The chord points along phi + w, reversed where sinc(w) < 0; on the
+    # axis phi = 0 represents each circle (0 * turn is +0.0, as turn >= 0).
+    turn = _select(sinc < 0.0, math.pi, 0.0)
+    phi = 0.0 * turn if axis else math.atan2(y, x) - w + turn
+    ez = _certify(x, y, z, s, gamma, r, phi, tol, shortest)
+    return phi, np.hypot(r * s * np.abs(sinc) - rho, ez - z)
 
 
 def riemannian_distance(p: HeisPoint, q: HeisPoint, tol: float = 1e-8) -> float:

@@ -352,6 +352,11 @@ class TestDistanceCommand:
             ("0,0,0", "-7,3,40", "1e-8"),
             ("0,0,0", "60,-80,1e4", "1e-8"),
             ("0,0,0", "1e2,0,-5e3", "1e-10"),
+            # one geodesic below pi; one geodesic, its one window dropped by
+            # the closed-form bound; 25 geodesics, all 12 windows kept
+            ("0,0,0", "0.7,-0.2,0.9", "1e-8"),
+            ("0,0,0", "3,1,6", "1e-8"),
+            ("0,0,0", "1e-3,0,40", "1e-8"),
         ],
     )
     def test_candidate_lines_are_the_json_records(self, capsys, p, q, tol):

@@ -22,7 +22,7 @@ from heisgeo.distances import (
     riemannian_distance_many,
     shoot_candidates,
 )
-from heisgeo.geodesics import exp_map, origin_coordinates
+from heisgeo.geodesics import GeodesicSpec, exp_map, origin_coordinates
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -431,7 +431,7 @@ class TestCutTimeSolver:
     def test_candidate_that_misses_raises(self, monkeypatch):
         # A winding geodesic that ends away from the target fails the
         # certificate it shares with the cut-time solution; it is not listed.
-        def missing(rho, height):
+        def missing(rho, height, windows):
             return np.array([2.0 * height]), np.array([0.6]), np.array([0.8])
 
         monkeypatch.setattr("heisgeo.distances._winding_geodesics", missing)
@@ -753,7 +753,79 @@ def _enumeration_targets(draw):
     return rho * math.cos(angle), rho * math.sin(angle), z
 
 
+@st.composite
+def _window_targets(draw):
+    """(rho, |z|) for _winding_geodesics: |z| log-uniform in [1e-3, 1e3],
+    rho weighted towards the axis (half the draws within |z| 1e-16..1e-3
+    of it), and planar offsets whose square underflows or overflows."""
+    height = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["near-axis", "near-axis", "generic", "underflow", "overflow"]))
+    if kind == "near-axis":
+        rho = height * 10.0 ** draw(st.floats(-16.0, -3.0))
+    elif kind == "generic":
+        rho = 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif kind == "underflow":
+        rho = 10.0 ** draw(st.floats(-300.0, -155.0))
+    else:
+        rho = 10.0 ** draw(st.floats(154.5, 300.0))
+    return rho, height
+
+
 class TestEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(_window_targets())
+    @example((math.sqrt(10.0), 6.0))  # 3,1,6: its one window dropped
+    @example((1e-3, 40.0))  # all 12 windows kept
+    @example((1e102, 3.1416))
+    @example((1e154, math.pi))
+    @example((0.3, 2.0 * math.pi))
+    @example((1.0, 3.0 * math.pi * 1.5 - 1.0 / (24.0 * math.pi)))  # B(3) = 0
+    def test_window_bound_drops_no_root(self, target):
+        # The windows past the closed-form count hold no geodesic: solving
+        # all floor(|z| / pi) of them gives the same arrays, and in each
+        # dropped window the minimum of G_k is above the double-root slack.
+        rho, height = target[0], np.float64(target[1])
+        windows = distances._window_count(rho, height)
+        every = int(height // math.pi)
+        assert 0 <= windows <= every
+        with np.errstate(all="ignore"):
+            bounded = distances._winding_geodesics(rho, height, windows)
+            full = distances._winding_geodesics(rho, height, every)
+            k = np.arange(windows + 1, every + 1)
+            end = (k + 1) * math.pi
+            lo = -(1.0 + 2.0 * rho / (k * math.pi))
+            t_min = distances._solve_increasing(distances._window_slope, lo, lo, 0.0, rho, end)
+            g_min = distances._window(t_min, rho, height, end)[0]
+        assert [a.tobytes() for a in bounded] == [a.tobytes() for a in full]
+        # Where rho^2 overflows g_min is nan, which keeps no window either.
+        assert np.all((g_min > 4.0 * EPS * height) | (np.isnan(g_min) & (rho * rho == math.inf)))
+
+    @pytest.mark.parametrize("target", [
+        (0.7, -0.2, 0.9), (3.0, 1.0, -6.0), (200.0, 0.0, 0.0), (1e-3, 2e-3, -4e-6),
+        (0.0, 0.0, 2.5), (0.0, 0.0, -math.pi), (1e-310, 0.0, 1.0),
+    ])
+    def test_one_geodesic_list_has_the_array_bits(self, target):
+        # A list of one geodesic is solved and certified on scalars; its
+        # entry has the bits of the same geodesic certified as 1-element
+        # arrays.
+        (sol,) = shoot_candidates(HeisPoint(*target))
+        x, y, z = (np.array([c]) for c in target)
+        s, gamma, r, _ = distances._cut_time_geodesics(x, y, z)
+        w = gamma * s
+        sinc = distances._sinc(w)
+        rho = math.hypot(target[0], target[1])
+        if sol.axis_family:
+            phi = np.zeros(1)
+        else:
+            phi = math.atan2(target[1], target[0]) - w + np.where(sinc < 0.0, math.pi, 0.0)
+        ez = distances._certify(x, y, z, s, gamma, r, phi, 1e-8, shortest=np.array([True]))
+        residual = np.hypot(r * s * np.abs(sinc) - rho, ez - z)
+        # GeodesicSpec stores phi modulo 2 pi.
+        spec = GeodesicSpec(r=float(r[0]), phi=float(phi[0]), gamma=float(gamma[0]))
+        assert [repr(sol.s), repr(sol.spec.phi), repr(sol.spec.gamma), repr(sol.residual)] == [
+            repr(float(s[0])), repr(spec.phi), repr(spec.gamma), repr(float(residual[0]))
+        ]
+
     @pytest.mark.parametrize("z", [-127.76, 246.33])
     def test_axis_counts(self, z):
         # One circle per return to the axis at w = k pi < |z|, and the
