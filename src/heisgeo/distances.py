@@ -371,28 +371,24 @@ def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
 def _window_count(rho: float, height: float) -> int:
     """The number of winding windows k >= 1 that _winding_geodesics solves.
 
-    The largest k <= |z| / pi whose lower bound B(k) does not clear 0 by the
-    rounding margin (_winding_geodesics): a root of the quadratic
-    a k^2 - |z| k - rho^2 / (8 pi), margin included, checked at its floor
-    and the next integer against B itself.
+    The largest k <= |z| / pi whose lower bound B(k) = k a - c / k - |z|
+    (c = rho^2 / (8 pi)) does not clear 0 by the rounding margin of
+    _winding_geodesics, B(k) > _WINDOW_SLACK (k a + |z|), evaluated as
+    k a (1 - _WINDOW_SLACK) - c / k > |z| (1 + _WINDOW_SLACK).  Since
+    B(k) > k a - c - |z|, no window past (|z| + c) / a is kept: the count
+    steps down from the next integer, or from floor(|z| / pi) if that is
+    smaller.  The window after the count K is dropped, so K + 1 > |z| / a,
+    and c / a < 1 / (4 pi^2): the start is at most K + 2, two steps down.
     """
     rho2 = rho * rho
     a = math.pi * (1.0 + 0.5 * rho2)
     if not a < math.inf:
         return 0
     c = rho2 / (8.0 * math.pi)
-    low, high = a * (1.0 - _WINDOW_SLACK), height * (1.0 + _WINDOW_SLACK)
-
-    def kept(k):
-        return k * low - c / k <= high
-
-    # c / low <= 1 / (4 pi^2): the root does not overflow where a does not.
-    half = 0.5 * high / low
-    cap = int(height // math.pi)
-    k = min(int(half + math.sqrt(half * half + c / low)), cap)
-    if k < cap and kept(k + 1):
-        return k + 1
-    return k - 1 if k > 0 and not kept(k) else k
+    k = min(int(height // math.pi), int((height + c) / a) + 1)
+    while k > 0 and k * (a * (1.0 - _WINDOW_SLACK)) - c / k > height * (1.0 + _WINDOW_SLACK):
+        k -= 1
+    return k
 
 
 def _winding_geodesics(rho: float, height: float, windows: int):

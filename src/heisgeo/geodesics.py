@@ -102,7 +102,6 @@ def _as_float(a):
 
 def _sinc(w):
     """sin(w)/w, equal to 1 at w = 0; stable for all w."""
-    w = _as_float(w)
     zero = w == 0.0
     safe = _select(zero, 1.0, w)
     return _select(zero, 1.0, np.sin(safe) / safe)
@@ -116,7 +115,6 @@ def _sin_defect(w):
     where the next term falls below double precision.  A scalar w evaluates
     only the form it takes.
     """
-    w = _as_float(w)
     small = abs(w) < 0.5
     if not isinstance(small, np.ndarray):
         return _defect_series(w) if small else _defect_direct(w)

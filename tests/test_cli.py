@@ -469,6 +469,11 @@ class TestCurvatureCommand:
         assert "nabla_X Y = T" in out
         assert "nabla_Y X = -T" in out
 
+    def test_general_coefficients(self):
+        # The connection table holds only 0 and +-1; other coefficients are
+        # written with format_float.
+        assert cli._frame_combination(core.FrameVector(2.0, -0.5, 0.0)) == "2*X + -0.5*Y"
+
 
 class TestExitCodes:
     def test_bad_subcommand(self):

@@ -771,6 +771,20 @@ def _window_targets(draw):
     return rho, height
 
 
+@st.composite
+def _bound_edge_targets(draw):
+    """(rho, |z|) within 40 ulps of B(k) = 0, or of the margin's edge
+    B(k) = _WINDOW_SLACK (k a + |z|) where _window_count changes."""
+    rho = draw(st.sampled_from([0.0, 1e-8, 0.1, 1.0, 3.0, 30.0]))
+    k = draw(st.integers(1, 300))
+    a = math.pi * (1.0 + 0.5 * rho * rho)
+    height = k * a - rho * rho / (8.0 * math.pi * k)
+    if draw(st.booleans()):
+        slack = distances._WINDOW_SLACK
+        height = (height - slack * k * a) / (1.0 + slack)
+    return rho, height + draw(st.integers(-40, 40)) * math.ulp(height)
+
+
 class TestEnumeration:
     @settings(max_examples=150, deadline=None)
     @given(_window_targets())
@@ -799,6 +813,29 @@ class TestEnumeration:
         assert [a.tobytes() for a in bounded] == [a.tobytes() for a in full]
         # Where rho^2 overflows g_min is nan, which keeps no window either.
         assert np.all((g_min > 4.0 * EPS * height) | (np.isnan(g_min) & (rho * rho == math.inf)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_window_targets(), _bound_edge_targets()))
+    @example((10.0, 960.6642064021512))  # count 6, one step below (|z| + c) / a + 1
+    @example((0.001, 21.991159565016236))  # count 6, one step below |z| / pi
+    @example((1e155, 1e3))  # rho^2 overflows
+    @example((1.2e154, 1e3))  # rho^2 finite, pi (1 + rho^2/2) overflows
+    def test_window_count_is_the_largest_kept_window(self, target):
+        # Scanning every k <= |z| / pi for a bound that does not clear the
+        # margin finds the count, at most two steps below the start
+        # (|z| + c) / a + 1; a nan bound (rho^2 overflows) keeps no window.
+        rho, height = target[0], np.float64(target[1])
+        slack = distances._WINDOW_SLACK
+        k = np.arange(1, int(height // math.pi) + 1)
+        rho2 = rho * rho
+        a = math.pi * (1.0 + 0.5 * rho2)
+        c = rho2 / (8.0 * math.pi)
+        with np.errstate(all="ignore"):
+            kept = k * (a * (1.0 - slack)) - c / k <= height * (1.0 + slack)
+        windows = distances._window_count(rho, height)
+        assert windows == (k[kept].max() if kept.any() else 0)
+        if a < math.inf:
+            assert windows >= min(k.size, int((height + c) / a) + 1) - 2
 
     @pytest.mark.parametrize("target", [
         (0.7, -0.2, 0.9), (3.0, 1.0, -6.0), (200.0, 0.0, 0.0), (1e-3, 2e-3, -4e-6),
