@@ -293,7 +293,8 @@ def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> 
     A string is passed as it is, an array as its comma-joined items and any
     other value as its JSON text; a switch takes true (present) or false
     (absent).  Only options of the command are accepted; positional
-    arguments are always given on the line, so a key naming one is unknown.
+    arguments are always given on the line, so a key naming one is unknown,
+    and so is "config": a config file cannot name another.
     """
     if not args.config:
         return []
@@ -301,7 +302,11 @@ def _config_args(args: argparse.Namespace, command: argparse.ArgumentParser) -> 
         values = json.load(handle)
     if not isinstance(values, dict):
         raise ValueError("config file must contain a JSON object")
-    options = {a.dest: a for a in command._actions if a.option_strings and a.dest in args}
+    options = {
+        a.dest: a
+        for a in command._actions
+        if a.option_strings and a.dest in args and a.dest != "config"
+    }
     tokens = []
     for key, value in values.items():
         action = options.get(key.replace("-", "_"))

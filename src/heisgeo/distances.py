@@ -303,12 +303,12 @@ def _far_chart(rho, height):
 def _cut_time_geodesics(x, y, z):
     """Shortest geodesic from the origin to each target (x[i], y[i], z[i]).
 
-    Returns (s, gamma, r, phi): the arc length, which is the distance, the
-    signed vertical velocity component, the planar speed and the planar
-    direction.  Arrays are solved chart by chart under masks; one finite
-    target, given as scalars, takes its one chart on float64 scalars
-    through the same chart functions, with the same bits.  Uncertified: the
-    caller passes the geodesics to _certify before returning them.
+    Returns (s, gamma, r): the arc length, which is the distance, the
+    signed vertical velocity component and the planar speed.  Arrays are
+    solved chart by chart under masks; one finite target, given as scalars,
+    takes its one chart on float64 scalars through the same chart
+    functions, with the same bits.  Uncertified: the caller passes the
+    geodesics to _certify before returning them.
     """
     rho = np.hypot(x, y)
     height = np.abs(z)
@@ -329,9 +329,7 @@ def _cut_time_geodesics(x, y, z):
     else:
         chart = _axis_chart if axis else _near_chart if near else _far_chart
         s, gamma, r = chart(rho, height)
-    gamma = _select(z < 0.0, -gamma, gamma)
-    phi = np.arctan2(y, x) - gamma * s
-    return s, gamma, r, phi
+    return s, _select(z < 0.0, -gamma, gamma), r
 
 
 def _certify(x, y, z, s, gamma, r, phi, tol: float, shortest):
@@ -459,7 +457,8 @@ def _certified_distance(x, y, z, tol: float):
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s, gamma, r, phi = _cut_time_geodesics(x, y, z)
+        s, gamma, r = _cut_time_geodesics(x, y, z)
+        phi = np.arctan2(y, x) - gamma * s
         _certify(x, y, z, s, gamma, r, phi, tol, shortest=True)
     return s
 
@@ -501,7 +500,7 @@ def shoot_candidates(target: HeisPoint, tol: float = 1e-8) -> list[ShootingSolut
         raise ValueError(f"2 |z| / pi = {2.0 * height / math.pi:.3g} geodesics; "
                          f"at most {_MAX_CANDIDATES} are listed")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s, gamma, r, _ = _cut_time_geodesics(x, y, z)
+        s, gamma, r = _cut_time_geodesics(x, y, z)
         axis = bool(rho <= _EPS * s)
         phi, residual = _listed(x, y, z, rho, s, gamma, r, axis, tol, shortest=True)
         columns = [[float(a)] for a in (r, phi, gamma, s, residual)]

@@ -42,13 +42,8 @@ vertices within 8 thresholds of the axis first.  That is exact: an event's
 vertices lie within planar_mid + threshold / 2 of the axis, so if the first
 near event has planar_mid + threshold <= 8 thresholds, every event that
 sorts before it was searched.  Otherwise the whole sphere is searched.
-Nor does it order every event it finds (`_first_event`): np.hypot gives
-each midpoint's distance in one call, and only the hits within a relative
-2^-44 of the smallest are ordered, by math.hypot and the same lexsort.  That
-is exact too: np.hypot and math.hypot each lie within an ulp of the true
-distance, so the event math.hypot puts first, and any tied with it, has an
-np.hypot distance at most 4 ulps (2^-50 relative) above the smallest; a
-subnormal distance gets 2^-1060 of absolute slack.
+Either way its hits go through `_ordered`, and the close-up is centred on
+the first.
 """
 
 from __future__ import annotations
@@ -364,7 +359,10 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     geodesic realizes the radius); beyond the cut locus a strictly shorter
     geodesic exists and the vertex no longer lies on the metric sphere.
     Attaches the per-vertex shortfall as scalar channel "distance_defect".
+    ValueError unless 0 < radius < inf and tol > 0.
     """
+    if not 0.0 < radius < math.inf:
+        raise ValueError("metric clip radius must be positive and finite")
     if not tol > 0.0:
         raise ValueError("metric clip tol must be positive")
     defects = radius - riemannian_distance_many(mesh.vertices)
@@ -531,22 +529,6 @@ def _ordered(hits) -> tuple[np.ndarray, ...]:
     return tuple(np.take(e, order) for e in (a, b, separation, gamma_mid, planar))
 
 
-def _first_event(hits) -> tuple[float, float] | None:
-    """gamma_mid and planar_radius_mid of the first of the hits in event
-    order, or None if there is none.
-
-    Only the hits whose np.hypot midpoint radius lies within 2^-44 of the
-    smallest (relative) are ordered; see the module docstring.
-    """
-    radius = np.hypot(hits[4], hits[5])
-    if not radius.size:
-        return None
-    least = float(radius.min())
-    few = radius <= least + (least * 2.0**-44 + 2.0**-1060)
-    *_, gamma_mid, planar = _ordered([np.compress(few, h) for h in hits])
-    return float(gamma_mid[0]), float(planar[0])
-
-
 def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     """Self-contact events of the exp-sphere at the given resolution.
 
@@ -587,14 +569,14 @@ def singular_point_closeup(
     # The near pass's first event is the first of all once planar_mid +
     # threshold <= reach (see the module docstring); otherwise search it all.
     reach = _CLOSEUP_REACH * threshold
-    first = _first_event(_hits(grid, vertices, threshold, reach))
-    if first is None or not first[1] + threshold <= reach:
-        first = _first_event(_hits(grid, vertices, threshold))
-    if first is None:
+    *_, gamma_mid, planar = _ordered(_hits(grid, vertices, threshold, reach))
+    if not (planar.size and planar[0] + threshold <= reach):
+        *_, gamma_mid, planar = _ordered(_hits(grid, vertices, threshold))
+    if not planar.size:
         raise NoSingularityError(
             f"no singularity found below radius {radius}; the sphere appears embedded"
         )
-    center = first[0]
+    center = float(gamma_mid[0])
     lo = max(-1.0, center - window)
     hi = min(1.0, center + window)
     return _grid_mesh(*_revolved_grid(np.linspace(lo, hi, n_gamma), n_phi, radius), wrap=True)

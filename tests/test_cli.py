@@ -1063,9 +1063,10 @@ class TestConfigParity:
             (_GEODESIC, {"base": [1, 2]}),
             (["sphere", "--radius", "1", "--ngamma", "6"], {"nphi": 8.5}),
             (["distance", "0,0,0", "1,0,0"], {"tol": None}),
+            (["distance", "0,0,0", "3,4,0"], {"config": "nope.json", "metric": "cygan"}),
         ],
         ids=["choice", "overridden-choice", "overridden-dash-dash", "metric", "switch",
-             "point", "int", "null"],
+             "point", "int", "null", "nested-config"],
     )
     def test_invalid_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
                                             line, config):

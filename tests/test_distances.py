@@ -419,7 +419,7 @@ class TestCutTimeSolver:
         # (1, 0, 0) closely enough, but only length 1 lies in 1 <= d <= 1.
         def segment(x, y, z):
             one = np.ones_like(x)
-            return length * one, 0.0 * one, one, 0.0 * one
+            return length * one, 0.0 * one, one
 
         monkeypatch.setattr("heisgeo.distances._cut_time_geodesics", segment)
         if length == 1.0:
@@ -847,7 +847,7 @@ class TestEnumeration:
         # arrays.
         (sol,) = shoot_candidates(HeisPoint(*target))
         x, y, z = (np.array([c]) for c in target)
-        s, gamma, r, _ = distances._cut_time_geodesics(x, y, z)
+        s, gamma, r = distances._cut_time_geodesics(x, y, z)
         w = gamma * s
         sinc = distances._sinc(w)
         rho = math.hypot(target[0], target[1])

@@ -1,17 +1,18 @@
 """Mesh emission: spheres, plane images, cutaways, close-ups, polylines."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import heisgeo.meshing
 from heisgeo.core import ORIGIN, HeisPoint
-from heisgeo.distances import riemannian_distance
+from heisgeo.distances import riemannian_distance, shoot_candidates
 from heisgeo.geodesics import GeodesicSpec, geodesic_from_origin
 from heisgeo.meshing import (
     DEFAULT_DETECTION_GRID,
@@ -33,7 +34,6 @@ from heisgeo.meshing import (
 from heisgeo.meshing import (
     _close_pairs,
     _detection_sphere,
-    _first_event,
     _grid_mesh,
     _grid_topology,
     _hits,
@@ -41,6 +41,7 @@ from heisgeo.meshing import (
     _revolved_grid,
 )
 from heisgeo.writers import write_obj
+from winding import winding_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -418,13 +419,13 @@ class TestCloseup:
     )
     def test_centred_on_the_first_event(self, monkeypatch, grid, radii):
         # The figures' detection grids and three coarse ones, and 128x256 at
-        # radius 20 (256 hits within the ulp bound, four math.hypot values
-        # among them) and 1e3 (~430k hits): the patch's gamma rows are the
-        # linspace around the full search's first event's gamma_mid, bit for
-        # bit, and no event means no patch.  Rows reaching a pole collapse to
-        # one vertex.  48x96 at radius 6 has its first event ~30 thresholds
-        # off the axis, so the near pass finds nothing and the full search
-        # supplies it.
+        # radius 20 (256 hits within 3 ulps of the least midpoint radius,
+        # four math.hypot values among them) and 1e3 (~430k hits): the
+        # patch's gamma rows are the linspace around the full search's first
+        # event's gamma_mid, bit for bit, and no event means no patch.  Rows
+        # reaching a pole collapse to one vertex.  48x96 at radius 6 has its
+        # first event ~30 thresholds off the axis, so the near pass finds
+        # nothing and the full search supplies it.
         window, n_gamma = 0.08, 48
         searches = []
 
@@ -486,8 +487,6 @@ class TestCloseup:
         assert math.hypot(x[0], y[0]) > math.hypot(x[1], y[1])
         hits = (np.array([3, 7]), np.array([40, 50]), np.full(2, 1e-3), np.array([0.5, -0.25]),
                 x, y)
-        assert _first_event(hits) == (-0.25, math.hypot(x[1], y[1]))
-        assert _first_event(tuple(h[:0] for h in hits)) is None
         monkeypatch.setattr(heisgeo.meshing, "_hits", lambda *args: hits)
         gammas = singular_point_closeup(5.0, 0.08, (8, 5), (48, 96)).vertex_scalars["gamma"]
         assert np.unique(gammas).tobytes() == np.linspace(-0.25 - 0.08, -0.25 + 0.08, 5).tobytes()
@@ -982,6 +981,14 @@ class TestMetricClip:
         with pytest.raises(ValueError, match="tol must be positive"):
             clip_sphere_to_metric(mesh, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # A nan or inf radius would clip every vertex away, and 0 or -1
+        # would keep every vertex with a negative distance_defect.
+        mesh = sphere_exp_mesh(SphereGrid(8, 6, 2.0))
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            clip_sphere_to_metric(mesh, radius)
+
     def test_small_sphere_untouched(self):
         mesh = sphere_exp_mesh(SphereGrid(8, 8, 1.0))
         clipped = clip_sphere_to_metric(mesh, 1.0)
@@ -998,6 +1005,53 @@ class TestMetricClip:
         assert clipped.n_vertices == kept == int(window.sum())
         np.testing.assert_array_equal(clipped.vertices, mesh.vertices[window])
         assert np.max(np.abs(clipped.vertex_scalars["distance_defect"])) < 1e-12
+
+
+_DEGREE_GRID = SphereGrid(256, 256, 10.0)
+
+
+@functools.cache
+def _degree_sphere() -> TriMesh:
+    return sphere_exp_mesh(_DEGREE_GRID)
+
+
+class TestDegree:
+    """The exp-sphere of radius R winds about q once per geodesic to q
+    shorter than R, with signs alternating from + in length order, so its
+    winding number is the parity of their count.  The mesh and
+    shoot_candidates' list share only origin_coordinates; a mismatch is a
+    defect of one of them."""
+
+    R = _DEGREE_GRID.radius
+    # A fifth of the longest ring edge (2 pi R / n_phi, on the equator):
+    # targets whose every geodesic length is this far from R stay clear of
+    # the mesh's chords.
+    MARGIN = 0.2 * TWO_PI * R / _DEGREE_GRID.n_phi
+
+    @settings(max_examples=64, deadline=None)
+    @given(
+        st.floats(-3.0, 0.5),
+        st.floats(0.0, TWO_PI),
+        st.floats(-R * R / TWO_PI, R * R / TWO_PI),
+    )
+    def test_winding_is_the_parity_of_shorter_geodesics(self, u, theta, z):
+        rho = 10.0**u
+        q = (rho * math.cos(theta), rho * math.sin(theta), z)
+        s = np.array([c.s for c in shoot_candidates(HeisPoint(*q))])
+        assume(np.all(np.abs(s - self.R) > self.MARGIN))
+        shorter = int(np.count_nonzero(s < self.R))
+        assert abs(winding_number(_degree_sphere(), q) - shorter % 2) < 0.05, (q, s)
+
+    def test_exp_sphere_is_not_the_metric_sphere(self):
+        # The origin is wrapped once.  This point lies inside the metric
+        # ball, reached by two geodesics shorter than R, yet the exp-sphere
+        # does not wrap it: their windings cancel.
+        mesh = _degree_sphere()
+        assert abs(winding_number(mesh, (0.0, 0.0, 0.0)) - 1.0) < 0.05
+        q = HeisPoint(0.038, 0.0, -11.475)
+        assert riemannian_distance(ORIGIN, q) < self.R
+        assert sum(c.s < self.R for c in shoot_candidates(q)) == 2
+        assert abs(winding_number(mesh, q.as_array())) < 0.05
 
 
 class TestPolyline:
