@@ -359,12 +359,12 @@ def clip_sphere_to_metric(mesh: TriMesh, radius: float, tol: float = 1e-3) -> Tr
     geodesic realizes the radius); beyond the cut locus a strictly shorter
     geodesic exists and the vertex no longer lies on the metric sphere.
     Attaches the per-vertex shortfall as scalar channel "distance_defect".
-    ValueError unless 0 < radius < inf and tol > 0.
+    ValueError unless 0 < radius < inf and 0 < tol < inf.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError("metric clip radius must be positive and finite")
-    if not tol > 0.0:
-        raise ValueError("metric clip tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("metric clip tol must be positive and finite")
     defects = radius - riemannian_distance_many(mesh.vertices)
     keep = defects <= tol
     clipped = _submesh(mesh, keep)
@@ -538,6 +538,9 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     with the pair's distance to the nearest pole.  The last condition
     rejects the legitimate closing of rings near the poles.  Events are
     ordered by planar_radius_mid, then -|gamma_mid|, vertex_a, vertex_b.
+    The events are contact of the grid, not of the surface: fine grids
+    report them below pi, where the sphere is embedded
+    (`first_singular_radius`).
     """
     events = _ordered(_hits(grid, *_detection_sphere(grid)))
     return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in events))]
@@ -556,8 +559,9 @@ def singular_point_closeup(
     broken towards the poles) selects a gamma neighborhood of half-width
     `window`, which is re-meshed over the full phi circle at the requested
     patch resolution, at least (3, 3) (ValueError).  Raises
-    NoSingularityError when the sphere has no self-contact, i.e. the radius
-    is below the first conjugate radius.
+    NoSingularityError, without a search, when radius <= pi, where the
+    sphere is embedded (`first_singular_radius`), and when the detector
+    finds no contact at its resolution.
     """
     if not window > 0.0:
         raise ValueError("window must be positive")
@@ -565,6 +569,8 @@ def singular_point_closeup(
     if n_phi < 3 or n_gamma < 3:
         raise ValueError("closeup resolution needs n_phi >= 3 and n_gamma >= 3")
     grid = SphereGrid(n_phi=detection_grid[0], n_gamma=detection_grid[1], radius=radius)
+    if radius <= first_singular_radius():
+        raise NoSingularityError(f"no self-contact at radius {radius}: the sphere is embedded")
     vertices, threshold = _detection_sphere(grid)
     # The near pass's first event is the first of all once planar_mid +
     # threshold <= reach (see the module docstring); otherwise search it all.
@@ -574,7 +580,7 @@ def singular_point_closeup(
         *_, gamma_mid, planar = _ordered(_hits(grid, vertices, threshold))
     if not planar.size:
         raise NoSingularityError(
-            f"no singularity found below radius {radius}; the sphere appears embedded"
+            f"no self-contact detected at radius {radius} on the {grid.n_phi}x{grid.n_gamma} grid"
         )
     center = float(gamma_mid[0])
     lo = max(-1.0, center - window)
@@ -588,32 +594,20 @@ def geodesic_polyline(spec: GeodesicSpec, s_max: float, n: int) -> list[HeisPoin
     return [HeisPoint(*xyz) for xyz in zip(x, y, z)]
 
 
-def first_singular_radius(
-    lo: float = 2.0,
-    hi: float = 5.0,
-    iterations: int = 18,
-    detection_grid: tuple[int, int] = DEFAULT_DETECTION_GRID,
-) -> float:
-    """Empirical onset radius of sphere self-contact, located by bisection.
+def first_singular_radius() -> float:
+    """The radius at which the geodesic sphere first stops being embedded: pi.
 
-    The value depends on the detection resolution (the detector needs the
-    contact features to separate from the pole scale), so it is a property
-    of the discretized artifact, recorded as a regression constant rather
-    than a geometric assertion.
+    Vertex (gamma, phi) of the radius-R sphere lies at planar radius
+    rho = sqrt(1 - gamma^2) R |sinc(gamma R)| and height
+    z = (1 + gamma^2) R / (2 gamma) - (1 - gamma^2) sin(2 gamma R) / (4 gamma^2)
+    (`origin_coordinates`).  For R < pi, sinc decreases on [0, pi), so rho is
+    positive and strictly decreasing in |gamma| < 1.  z is odd in gamma, and
+    for gamma > 0 sin x < x gives (1 - gamma^2) sin(2 gamma R) / (4 gamma^2)
+    < (1 + gamma^2) R / (2 gamma), so z has the sign of gamma.  The profile
+    gamma -> (rho, z) is then one arc meeting the axis only at the poles,
+    and no geodesic has a conjugate point before s = R, since
+    sin w - r^2 w cos w > 0 for 0 < w < pi.  At R = pi the poles are the
+    first conjugate points of the vertical geodesic, and for R > pi the
+    ring |gamma| = pi / R < 1 collapses onto one point of the axis.
     """
-
-    def has_contact(radius: float) -> bool:
-        grid = SphereGrid(detection_grid[0], detection_grid[1], radius)
-        return len(_hits(grid, *_detection_sphere(grid))[0]) > 0
-
-    if has_contact(lo):
-        raise ValueError(f"lower bracket {lo} already shows self-contact")
-    if not has_contact(hi):
-        raise ValueError(f"upper bracket {hi} shows no self-contact")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if has_contact(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return math.pi

@@ -511,6 +511,8 @@ class TestExitCodes:
             ["sphere", "--radius", "-1", "--nphi", "8", "--ngamma", "6", "--half"],
             ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
              "--metric-tol", "nan"],
+            ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
+             "--metric-tol", "inf"],
             ["surface", "--ntheta", "2"],
             ["surface", "--ns", "1"],
             ["surface", "--theta-min", "1", "--theta-max", "1", "--ntheta", "4", "--ns", "3"],

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 import heisgeo.meshing
 from heisgeo.core import ORIGIN, HeisPoint
 from heisgeo.distances import riemannian_distance, shoot_candidates
-from heisgeo.geodesics import GeodesicSpec, geodesic_from_origin
+from heisgeo.geodesics import GeodesicSpec, geodesic_from_origin, origin_coordinates
 from heisgeo.meshing import (
     DEFAULT_DETECTION_GRID,
     MeshError,
@@ -155,6 +155,25 @@ class TestSphere:
         flat = radius * np.column_stack([r * np.cos(phis), r * np.sin(phis), gammas])
         assert np.max(np.abs(mesh.vertices - flat)) < radius**2
 
+    @pytest.mark.parametrize(
+        "radius", [1e-3, 0.5, math.pi / 2, 3.0, 3.14, math.pi * (1 - 1e-9)]
+    )
+    def test_embedded_below_the_first_singular_radius(self, radius):
+        # The witness of first_singular_radius's proof: below pi the profile
+        # gamma -> (rho, z) moves strictly towards the axis as |gamma| grows,
+        # and z has the sign of gamma, so it is one arc.
+        gamma = np.linspace(0.0, 1.0, 200001)
+        x, y, z = origin_coordinates(np.sqrt(1.0 - gamma * gamma), 0.0, gamma, radius)
+        assert (np.diff(np.hypot(x, y)) < 0.0).all()
+        assert (z[1:] > 0.0).all()
+
+    @pytest.mark.parametrize("radius", [3.3, 5.0, 20.0])
+    def test_ring_collapses_past_pi(self, radius):
+        # Past pi the ring |gamma| = pi / R < 1 meets the axis.
+        gamma = math.pi / radius
+        x, y, _ = origin_coordinates(math.sqrt(1.0 - gamma * gamma), 0.0, gamma, radius)
+        assert math.hypot(x, y) < 1e-15 * radius
+
     def test_sphere_vertices_realize_radius(self):
         mesh = sphere_exp_mesh(SphereGrid(12, 10, 1.0))
         for v in mesh.vertices[::11]:
@@ -184,18 +203,14 @@ class TestProximityDetector:
         assert events[0].planar_radius_mid < 0.2
 
     def test_first_contact_radius_regression(self):
-        # Empirical onset for the default detector resolution; depends on
-        # the mesh resolution, not a geometric constant.
-        value = first_singular_radius(lo=3.0, hi=3.5, iterations=10)
-        assert abs(value - 3.2342) < 2e-3
-
-    def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            first_singular_radius(lo=5.0, hi=6.0, iterations=2)
-
-    def test_upper_bracket_without_contact(self):
-        with pytest.raises(ValueError, match="upper bracket 2.5"):
-            first_singular_radius(2.0, 2.5, 1, (24, 48))
+        # The geometry's first singular radius is pi.  The default grid's
+        # detector first reads contact a little past it; that onset is a
+        # pin of the detector, not of the geometry, and on this grid contact
+        # is not monotone in the radius beyond it.
+        assert first_singular_radius() == math.pi
+        for radius, n_hits in [(3.234, 0), (3.2342, 192)]:
+            grid = SphereGrid(*DEFAULT_DETECTION_GRID, radius)
+            assert len(_hits(grid, *_detection_sphere(grid))[0]) == n_hits, radius
 
     @pytest.mark.parametrize("grid", [(3, 3), (7, 5), (64, 128), (96, 192)], ids=_shape_id)
     @pytest.mark.parametrize("radius", [1.0, 5.0])
@@ -411,6 +426,19 @@ class TestCloseup:
     def test_radius_one_raises(self):
         with pytest.raises(NoSingularityError):
             singular_point_closeup(1.0)
+
+    @pytest.mark.parametrize(
+        "radius, grid", [(2.9, (128, 256)), (math.pi, (96, 192))], ids=["2.9-128x256", "pi-96x192"]
+    )
+    def test_embedded_radius_refused_without_search(self, monkeypatch, radius, grid):
+        # At R = 2.9 the 128x256 detector reads contact that the embedded
+        # sphere does not have; the close-up refuses before it looks.
+        def detection_sphere(grid):
+            raise AssertionError("searched an embedded sphere")
+
+        monkeypatch.setattr(heisgeo.meshing, "_detection_sphere", detection_sphere)
+        with pytest.raises(NoSingularityError, match="embedded"):
+            singular_point_closeup(radius, detection_grid=grid)
 
     @pytest.mark.parametrize(
         "grid, radii",
@@ -975,7 +1003,7 @@ class TestMetricClip:
         assert tuple(np.round(mesh.vertices[0], 9)) not in kept
         assert tuple(np.round(mesh.vertices[-1], 9)) not in kept
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive(self, tol):
         mesh = sphere_exp_mesh(SphereGrid(8, 8, 1.0))
         with pytest.raises(ValueError, match="tol must be positive"):
