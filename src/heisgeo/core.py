@@ -265,13 +265,7 @@ _NABLA = np.array(
 
 # Frame fields have affine coordinate components E^k(p) = C[k] + M[k] . p;
 # only X and Y carry a linear part (in y and x respectively).
-_FRAME_CONST = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-    ]
-)
+_FRAME_CONST = np.eye(3)
 _FRAME_LIN = np.zeros((3, 3, 3))
 _FRAME_LIN[0, 2, 1] = -1.0  # X^z = -y
 _FRAME_LIN[1, 2, 0] = 1.0  # Y^z = x
@@ -295,26 +289,14 @@ def _bracket_coord(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
 _BRACKET = np.array([[_bracket_coord(i, j)[0] for j in range(3)] for i in range(3)])
 
 
-def _curvature_table() -> np.ndarray:
-    """R(E_i, E_j)E_k from the connection table and the brackets.
-
-    R(U, V)W = nabla_U nabla_V W - nabla_V nabla_U W - nabla_[U,V] W; all
-    coefficients involved are constants, so the covariant derivative of a
-    constant-coefficient combination sum_m c_m E_m along E_i is
-    sum_m c_m * _NABLA[i][m].
-    """
-    table = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                term1 = _NABLA[j][k] @ _NABLA[i]
-                term2 = _NABLA[i][k] @ _NABLA[j]
-                term3 = _BRACKET[i][j] @ _NABLA[:, k, :]
-                table[i, j, k] = term1 - term2 - term3
-    return table
-
-
-_CURVATURE = _curvature_table()
+# R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_[E_i, E_j] E_k.
+# Every coefficient is constant, so nabla_i of sum_m c_m E_m is
+# sum_m c_m _NABLA[i][m], and each term is one contraction over m.
+_CURVATURE = (
+    np.einsum("jkm,iml->ijkl", _NABLA, _NABLA)
+    - np.einsum("ikm,jml->ijkl", _NABLA, _NABLA)
+    - np.einsum("ijm,mkl->ijkl", _BRACKET, _NABLA)
+)
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,9 @@ mesh legitimately closes up there, which would read as contact near poles).
 `_hits` finds the events as unordered arrays; `_ordered` puts them in the
 order of one lexsort, by planar distance of the midpoint from the z-axis
 (math.hypot) first, and only `sphere_proximity_events` turns them into
-objects.  The close-up needs only the first event, so it searches the
-vertices within 8 thresholds of the axis first.  That is exact: an event's
-vertices lie within planar_mid + threshold / 2 of the axis, so if the first
-near event has planar_mid + threshold <= 8 thresholds, every event that
-sorts before it was searched.  Otherwise the whole sphere is searched.
-Either way its hits go through `_ordered`, and the close-up is centred on
-the first.
+objects.  The close-up searches only the vertices within 8 thresholds of
+the z-axis, where the sphere's singular points lie, and is centred on the
+first event there.
 """
 
 from __future__ import annotations
@@ -538,10 +534,11 @@ def sphere_proximity_events(grid: SphereGrid) -> list[ProximityEvent]:
     with the pair's distance to the nearest pole.  The last condition
     rejects the legitimate closing of rings near the poles.  Events are
     ordered by planar_radius_mid, then -|gamma_mid|, vertex_a, vertex_b.
-    The events are contact of the grid, not of the surface: fine grids
-    report them below pi, where the sphere is embedded
-    (`first_singular_radius`).
+    No events, without a search, when radius <= pi, where the sphere is
+    embedded (`first_singular_radius`).
     """
+    if grid.radius <= first_singular_radius():
+        return []
     events = _ordered(_hits(grid, *_detection_sphere(grid)))
     return [ProximityEvent(*e) for e in zip(*(c.tolist() for c in events))]
 
@@ -552,16 +549,18 @@ def singular_point_closeup(
     resolution: tuple[int, int] = (96, 48),
     detection_grid: tuple[int, int] = DEFAULT_DETECTION_GRID,
 ) -> TriMesh:
-    """Amplified patch around the sphere's self-contact nearest the axis.
+    """Amplified patch around the sphere's singular point on the z-axis.
 
-    The sphere is scanned at the detection resolution, near the z-axis
-    first; among the contact events the one closest to the axis (ties
-    broken towards the poles) selects a gamma neighborhood of half-width
+    For radius > pi the sphere's singular points lie on the axis
+    (`first_singular_radius`), so the detector searches only the vertices
+    within `_CLOSEUP_REACH` thresholds of it, at the detection resolution.
+    The first event there, in `_ordered`'s order (nearest the axis, ties
+    broken towards the poles), selects a gamma neighborhood of half-width
     `window`, which is re-meshed over the full phi circle at the requested
     patch resolution, at least (3, 3) (ValueError).  Raises
     NoSingularityError, without a search, when radius <= pi, where the
-    sphere is embedded (`first_singular_radius`), and when the detector
-    finds no contact at its resolution.
+    sphere is embedded, and when the detector finds no contact within
+    reach at its resolution.
     """
     if not window > 0.0:
         raise ValueError("window must be positive")
@@ -572,15 +571,11 @@ def singular_point_closeup(
     if radius <= first_singular_radius():
         raise NoSingularityError(f"no self-contact at radius {radius}: the sphere is embedded")
     vertices, threshold = _detection_sphere(grid)
-    # The near pass's first event is the first of all once planar_mid +
-    # threshold <= reach (see the module docstring); otherwise search it all.
-    reach = _CLOSEUP_REACH * threshold
-    *_, gamma_mid, planar = _ordered(_hits(grid, vertices, threshold, reach))
-    if not (planar.size and planar[0] + threshold <= reach):
-        *_, gamma_mid, planar = _ordered(_hits(grid, vertices, threshold))
-    if not planar.size:
+    gamma_mid = _ordered(_hits(grid, vertices, threshold, _CLOSEUP_REACH * threshold))[3]
+    if not gamma_mid.size:
         raise NoSingularityError(
-            f"no self-contact detected at radius {radius} on the {grid.n_phi}x{grid.n_gamma} grid"
+            f"no self-contact detected at radius {radius} on the {grid.n_phi}x{grid.n_gamma} "
+            f"grid within {_CLOSEUP_REACH:g} thresholds of the z-axis"
         )
     center = float(gamma_mid[0])
     lo = max(-1.0, center - window)

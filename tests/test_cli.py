@@ -502,34 +502,57 @@ class TestExitCodes:
         code, _, err = run(["geodesic", "--gamma", "0", "--smax", "-1"], capsys)
         assert code == 2 and "smax" in err
 
+    # Each row keeps its id, so a row put in later renames no other case.
     @pytest.mark.parametrize(
         "argv",
         [
-            ["geodesic", "--gamma", "0", "--smax", "1", "--n", "1"],
-            ["geodesic", "--gamma", "0", "--smax", "0"],
-            ["sphere", "--radius", "0", "--nphi", "8", "--ngamma", "6"],
-            ["sphere", "--radius", "-1", "--nphi", "8", "--ngamma", "6", "--half"],
-            ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
-             "--metric-tol", "nan"],
-            ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
-             "--metric-tol", "inf"],
-            ["surface", "--ntheta", "2"],
-            ["surface", "--ns", "1"],
-            ["surface", "--theta-min", "1", "--theta-max", "1", "--ntheta", "4", "--ns", "3"],
-            ["distance", "1,2,3", "1,2,3", "--all-candidates"],
-            ["geodesic", "--gamma", "1.5", "--smax", "1"],
+            pytest.param(["geodesic", "--gamma", "0", "--smax", "1", "--n", "1"], id="argv0"),
+            pytest.param(["geodesic", "--gamma", "0", "--smax", "0"], id="argv1"),
+            pytest.param(["sphere", "--radius", "0", "--nphi", "8", "--ngamma", "6"], id="argv2"),
+            pytest.param(
+                ["sphere", "--radius", "-1", "--nphi", "8", "--ngamma", "6", "--half"], id="argv3"
+            ),
+            pytest.param(
+                ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
+                 "--metric-tol", "nan"],
+                id="argv4",
+            ),
+            pytest.param(
+                ["sphere", "--radius", "1", "--nphi", "8", "--ngamma", "6", "--clip-to-metric",
+                 "--metric-tol", "inf"],
+                id="argv5",
+            ),
+            pytest.param(["surface", "--ntheta", "2"], id="argv6"),
+            pytest.param(["surface", "--ns", "1"], id="argv7"),
+            pytest.param(
+                ["surface", "--theta-min", "1", "--theta-max", "1", "--ntheta", "4", "--ns", "3"],
+                id="argv8",
+            ),
+            pytest.param(["distance", "1,2,3", "1,2,3", "--all-candidates"], id="argv9"),
+            pytest.param(["geodesic", "--gamma", "1.5", "--smax", "1"], id="argv10"),
             # The Cygan path takes no tolerance, so the command checks these.
-            ["distance", "0,0,0", "1,0,0", "--tol", "0"],
-            ["distance", "0,0,0", "1,0,0", "--tol", "-1"],
-            ["distance", "0,0,0", "1,0,0", "--tol", "nan"],
-            ["distance", "0,0,0", "1,0,0", "--metric", "cygan", "--all-candidates"],
+            pytest.param(["distance", "0,0,0", "1,0,0", "--tol", "0"], id="argv11"),
+            pytest.param(["distance", "0,0,0", "1,0,0", "--tol", "-1"], id="argv12"),
+            pytest.param(["distance", "0,0,0", "1,0,0", "--tol", "nan"], id="argv13"),
+            pytest.param(
+                ["distance", "0,0,0", "1,0,0", "--metric", "cygan", "--all-candidates"],
+                id="argv14",
+            ),
             # An infinite tol would certify any finite endpoint miss.
-            ["distance", "0,0,0", "1,2,3", "--tol", "inf"],
-            ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--all-candidates"],
-            ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--metric", "cygan"],
+            pytest.param(["distance", "0,0,0", "1,2,3", "--tol", "inf"], id="argv15"),
+            pytest.param(
+                ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--all-candidates"], id="argv16"
+            ),
+            pytest.param(
+                ["distance", "0,0,0", "1,2,3", "--tol", "inf", "--metric", "cygan"], id="argv17"
+            ),
             # GeodesicSpec refuses a non-finite direction.
-            ["geodesic", "--gamma", "0.5", "--phi", "inf", "--smax", "1"],
-            ["geodesic", "--gamma", "0.5", "--phi", "nan", "--smax", "1"],
+            pytest.param(
+                ["geodesic", "--gamma", "0.5", "--phi", "inf", "--smax", "1"], id="argv18"
+            ),
+            pytest.param(
+                ["geodesic", "--gamma", "0.5", "--phi", "nan", "--smax", "1"], id="argv19"
+            ),
         ],
     )
     def test_values_the_library_rejects(self, capsys, tmp_path, argv):

@@ -238,8 +238,26 @@ class TestProximityDetector:
             return _close_pairs(points, r)
 
         monkeypatch.setattr(heisgeo.meshing, "_close_pairs", close_pairs)
-        sphere_proximity_events(SphereGrid(*grid, radius))
+        sphere = SphereGrid(*grid, radius)
+        _hits(sphere, *_detection_sphere(sphere))
         assert radii == [0.1 * median]
+
+    @pytest.mark.parametrize(
+        "grid, n_hits", [((128, 256), 512), ((192, 384), 1920), ((192, 192), 1152)],
+        ids=["128x256", "192x384", "192x192"],
+    )
+    def test_embedded_radius_has_no_events(self, monkeypatch, grid, n_hits):
+        # The embedded sphere has no self-contact, though at R = 2.9 these
+        # grids' detector reads hits.  No search is made up to pi.
+        sphere = SphereGrid(*grid, 2.9)
+        assert len(_hits(sphere, *_detection_sphere(sphere))[0]) == n_hits
+
+        def detection_sphere(grid):
+            raise AssertionError("searched an embedded sphere")
+
+        monkeypatch.setattr(heisgeo.meshing, "_detection_sphere", detection_sphere)
+        for radius in (2.9, math.pi):
+            assert sphere_proximity_events(SphereGrid(*grid, radius)) == [], radius
 
     @pytest.mark.parametrize(
         "grid",
@@ -448,12 +466,11 @@ class TestCloseup:
     def test_centred_on_the_first_event(self, monkeypatch, grid, radii):
         # The figures' detection grids and three coarse ones, and 128x256 at
         # radius 20 (256 hits within 3 ulps of the least midpoint radius,
-        # four math.hypot values among them) and 1e3 (~430k hits): the
-        # patch's gamma rows are the linspace around the full search's first
-        # event's gamma_mid, bit for bit, and no event means no patch.  Rows
-        # reaching a pole collapse to one vertex.  48x96 at radius 6 has its
-        # first event ~30 thresholds off the axis, so the near pass finds
-        # nothing and the full search supplies it.
+        # four math.hypot values among them) and 1e3 (~430k hits): the one
+        # search is the one near the axis.  Wherever it finds an event, that
+        # is the full search's first event, and the patch's gamma rows are
+        # the linspace around its gamma_mid, bit for bit; no event near the
+        # axis means no patch.  Rows reaching a pole collapse to one vertex.
         window, n_gamma = 0.08, 48
         searches = []
 
@@ -466,43 +483,35 @@ class TestCloseup:
             sphere = SphereGrid(*grid, radius)
             vertices, threshold = _detection_sphere(sphere)
             gamma_mid = _ordered(_hits(sphere, vertices, threshold))[3]
+            near = _ordered(_hits(sphere, vertices, threshold, 8.0 * threshold))[3]
             searches.clear()
-            if not gamma_mid.size:
+            if not near.size:
                 with pytest.raises(NoSingularityError):
                     singular_point_closeup(radius, window, (96, n_gamma), grid)
-                assert searches == ["near", "full"], radius
+                assert searches == ["near"], radius
+                # Only a fold away from the axis has contact the near pass misses.
+                assert not gamma_mid.size or (grid, radius) == ((48, 96), 6.0), radius
                 continue
+            assert near[0].tobytes() == gamma_mid[0].tobytes(), radius
             c = float(gamma_mid[0])
             mesh = singular_point_closeup(radius, window, (96, n_gamma), grid)
-            fallback = (grid, radius) == ((48, 96), 6.0)
-            assert searches == ["near", "full"] if fallback else ["near"], radius
+            assert searches == ["near"], radius
             gammas = mesh.vertex_scalars["gamma"]
             rows = gammas[np.concatenate([[True], gammas[1:] != gammas[:-1]])]
             expected = np.linspace(max(-1.0, c - window), min(1.0, c + window), n_gamma)
             assert rows.tobytes() == expected.tobytes(), radius
 
     @pytest.mark.parametrize(
-        "reach, radius, grid, n_near",
-        [(0.0, 5.0, (48, 96), 0), (1.0, 35.0, (30, 50), 180), (2.0, 5.0, (48, 96), 288),
-         (2.0, 20.0, (96, 192), 192)],
+        "grid, radius", [((48, 96), 6.0), ((30, 50), 5.1)], ids=["48x96-6.0", "30x50-5.1"]
     )
-    def test_short_reach_falls_back(self, monkeypatch, reach, radius, grid, n_near):
-        # Reaches shorter than the default's 8 thresholds: the near pass
-        # finds no event, or events it cannot certify as the first, so the
-        # full search runs and the patch is the default reach's.
-        want = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
-        found = []
-
-        def hits(*args):
-            events = _hits(*args)
-            found.append(len(events[0]))
-            return events
-
-        monkeypatch.setattr(heisgeo.meshing, "_CLOSEUP_REACH", reach)
-        monkeypatch.setattr(heisgeo.meshing, "_hits", hits)
-        got = singular_point_closeup(radius, detection_grid=grid).vertices.tobytes()
-        assert got == want
-        assert found[0] == n_near and len(found) == 2 and found[1] > n_near
+    def test_fold_off_the_axis_refused(self, grid, radius):
+        # These spheres' only contact is a fold of the exp map 30 and 10
+        # thresholds off the z-axis, at |gamma| R / pi = 1.37 and 1.33, near
+        # the second conjugate family (tan w = r^2 w), not a singular ring
+        # |gamma| R = k pi.  The close-up does not centre on it.
+        assert sphere_proximity_events(SphereGrid(*grid, radius))
+        with pytest.raises(NoSingularityError, match="z-axis"):
+            singular_point_closeup(radius, detection_grid=grid)
 
     def test_near_tie_ordered_by_math_hypot(self, monkeypatch):
         # Two hits whose midpoint radii np.hypot and math.hypot order the
